@@ -17,26 +17,19 @@ import sys
 import time
 
 from ._rng import SplitMix64
-from .cyclicseq import CyclicSeq, OpMeter
-from .gf2poly import Poly2, UnsupportedPeriod, factor_xn_minus_1, is_primitive
+from .cyclicseq import CyclicSeq
+from .gf2poly import Poly2, UnsupportedPeriod, _factorize, factor_xn_minus_1, is_primitive
 from .lincomplex import (
     NotGeneratedBy,
-    TAG_FAST_3X2N,
-    TAG_FAST_PX2N,
-    TAG_GAMES_CHAN,
-    TAG_GENERAL,
-    TAG_ODD_COMPOSITE,
-    TAG_ODD_PRIME_POWER,
-    TAG_ORACLE_FALLBACK,
+    _factorization_supported,
+    bound_for,
     choose_algorithm,
     games_chan,
-    lc_3x2n,
-    lc_odd_composite,
-    lc_odd_prime_power,
-    lc_px2n,
+    is_fast,
     min_poly_general,
     ppp,
     solve,
+    violates_bound,
 )
 from .oracle import InfeasibleSize, LcResult, berlekamp_massey, enumerate_by_period, gcd_method
 
@@ -46,74 +39,8 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INFEASIBLE = 4
 
-_FAST_TAGS = (
-    TAG_GAMES_CHAN,
-    TAG_FAST_3X2N,
-    TAG_FAST_PX2N,
-    TAG_ODD_PRIME_POWER,
-    TAG_ODD_COMPOSITE,
-)
-
-
 class _UsageError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# bounds
-
-
-def _two_valuation(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
-def bound_for(tag: str, n: int):
-    """The paper's operation bound for the family handling length n, if any.
-
-    For odd prime powers the 2N data-operation bound excludes the counter
-    additions; the reported bound allows them one bit each (2N + n).
-    """
-    n2 = _two_valuation(n)
-    odd = n >> n2
-    if tag == TAG_GAMES_CHAN:
-        return n + n2
-    if tag == TAG_FAST_3X2N:
-        return 7 * (1 << n2) + 2 * n2
-    if tag == TAG_FAST_PX2N:
-        p = odd
-        return (p * p + 7 * p + 7) / 4 * (1 << n2) + 2 * n2
-    if tag == TAG_ODD_PRIME_POWER:
-        iterations = _prime_power_height(odd)
-        return 2 * n + iterations
-    return None
-
-
-def _prime_power_height(m: int) -> int:
-    k = 0
-    p = None
-    d = 2
-    mm = m
-    while d * d <= mm:
-        if mm % d == 0:
-            p = d
-            break
-        d += 1
-    p = p if p is not None else mm
-    while m > 1:
-        m //= p
-        k += 1
-    return k
-
-
-def _violates_bound(tag: str, n: int, meter: OpMeter) -> bool:
-    n2 = _two_valuation(n)
-    if tag == TAG_ODD_PRIME_POWER:
-        # the paper's 2N claim omits complexity-counter additions
-        return (meter.xor_ops + meter.cmp_ops > 2 * n) or (
-            meter.counter_ops > _prime_power_height(n)
-        )
-    b = bound_for(tag, n)
-    return b is not None and meter.total() > b
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +132,17 @@ def _run_algorithm(name: str, s: CyclicSeq, poly_arg: str | None) -> LcResult:
         f = Poly2.from_bits_str(poly_arg)
         return ppp(f, s)[1]
     if name == "fast":
-        choice = choose_algorithm(s.n)
-        if choice.tag not in _FAST_TAGS:
+        if not is_fast(choose_algorithm(s.n).tag):
             raise UnsupportedPeriod(s.n, "no fast family applies")
-        if choice.tag == TAG_GAMES_CHAN:
-            return games_chan(s)
-        if choice.tag == TAG_FAST_3X2N:
-            return lc_3x2n(s)
-        if choice.tag == TAG_FAST_PX2N:
-            return lc_px2n(choice.p, s)
-        if choice.tag == TAG_ODD_PRIME_POWER:
-            return lc_odd_prime_power(choice.p, choice.n, s)
-        return lc_odd_composite(list(choice.primes), s)
+        return solve(s)
     raise _UsageError(f"unknown algorithm {name!r}")
 
 
 def cmd_compute(args) -> int:
-    try:
-        s, fmt = _read_sequence(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    s, fmt = _read_sequence(args)
     t0 = time.perf_counter_ns()
     try:
         result = _run_algorithm(args.algorithm, s, args.poly)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (UnsupportedPeriod, NotGeneratedBy, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -271,41 +182,16 @@ def _family_lengths(family: str, n_max: int) -> list[int]:
         m = 3
         while len(out) < n_max and m <= 4096:
             m += 2
-            if _odd_multi_prime(m) and _supported(m):
+            if len(_factorize(m)) >= 2 and _factorization_supported(m):
                 out.append(m)
         return out
     raise _UsageError(f"unknown family {family!r}")
 
 
-def _odd_multi_prime(m: int) -> bool:
-    if m % 2 == 0:
-        return False
-    primes = 0
-    mm = m
-    d = 3
-    while d * d <= mm:
-        if mm % d == 0:
-            primes += 1
-            while mm % d == 0:
-                mm //= d
-        d += 2
-    if mm > 1:
-        primes += 1
-    return primes >= 2
-
-
-def _supported(m: int) -> bool:
-    try:
-        factor_xn_minus_1(m)
-        return True
-    except UnsupportedPeriod:
-        return False
-
-
 def _check_one(s: CyclicSeq) -> tuple[bool, bool, LcResult]:
     res = solve(s)
     ok = res.key() == gcd_method(s).key() and res.key() == berlekamp_massey(s).key()
-    bad_bound = _violates_bound(res.algorithm, s.n, res.meter)
+    bad_bound = violates_bound(res.algorithm, s.n, res.meter)
     return ok, bad_bound, res
 
 
@@ -449,6 +335,14 @@ def cmd_enumerate(args) -> int:
 # argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a run over zero inputs must not pass."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcseq",
@@ -472,25 +366,25 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="differential campaign against both oracles")
-    pv.add_argument("--n", type=int, help="single cycle length")
+    pv.add_argument("--n", type=_positive_int, help="single cycle length")
     pv.add_argument("--family", choices=_FAMILIES, help="length family ('p^n' uses p=3)")
-    pv.add_argument("--n-max", type=int, default=8, dest="n_max")
-    pv.add_argument("--trials", type=int, default=100)
+    pv.add_argument("--n-max", type=_positive_int, default=8, dest="n_max")
+    pv.add_argument("--trials", type=_positive_int, default=100)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--exhaustive", action="store_true", help="all 2^n inputs (with --n)")
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("bench", help="metered operation counts vs the paper bounds")
     pb.add_argument("--family", choices=_FAMILIES, required=True)
-    pb.add_argument("--n-max", type=int, default=8, dest="n_max")
-    pb.add_argument("--trials", type=int, default=100)
+    pb.add_argument("--n-max", type=_positive_int, default=8, dest="n_max")
+    pb.add_argument("--trials", type=_positive_int, default=100)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--format", choices=("json", "csv"), default="json")
     pb.set_defaults(func=cmd_bench)
 
     pe = sub.add_parser("enumerate", help="period census of powers of a primitive polynomial")
     pe.add_argument("--poly", required=True, help="polynomial bits, constant term first")
-    pe.add_argument("--max-power", type=int, required=True, dest="max_power")
+    pe.add_argument("--max-power", type=_positive_int, required=True, dest="max_power")
     pe.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2poly import Poly2
+from .gf2poly import Poly2, _divisors
 
 __all__ = [
     "CyclicSeq",
@@ -56,8 +56,8 @@ class CyclicSeq:
 
         The explicit length is required since n need not be a multiple of 4.
         """
-        if not text:
-            raise ValueError("empty hex string")
+        if not text or any(ch not in "0123456789abcdefABCDEF" for ch in text):
+            raise ValueError(f"not a hex string: {text!r}")
         value = int(text[::-1], 16)
         if n < 1 or len(text) != (n + 3) // 4:
             raise ValueError(f"hex string length {len(text)} does not cover {n} bits")
@@ -145,21 +145,7 @@ def apply_poly(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> CyclicSe
 
     Metered cost is (weight(f) - 1) * n output-producing XORs.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial cannot be applied")
-    n = s.n
-    # exponents wrap (E^n is the identity); equal shifts cancel in pairs
-    parity: dict[int, int] = {}
-    b = f.bits
-    while b:
-        low = b & -b
-        j = (low.bit_length() - 1) % n
-        parity[j] = parity.get(j, 0) ^ 1
-        b ^= low
-    shifts = [j for j, keep in parity.items() if keep]
-    if meter is not None:
-        meter.xor_ops += (f.weight - 1) * n
-    return CyclicSeq(_rotations_xor(s.bits, n, shifts), n)
+    return apply_poly_pow2(f, 0, s, meter)
 
 
 def apply_poly_pow2(f: Poly2, m: int, s: CyclicSeq, meter: OpMeter | None = None) -> CyclicSeq:
@@ -174,6 +160,7 @@ def apply_poly_pow2(f: Poly2, m: int, s: CyclicSeq, meter: OpMeter | None = None
         raise ValueError("m must be nonnegative")
     n = s.n
     stride = 1 << m
+    # exponents wrap (E^n is the identity); equal shifts cancel in pairs
     parity: dict[int, int] = {}
     b = f.bits
     while b:
@@ -219,7 +206,7 @@ def thirds(s: CyclicSeq) -> tuple[CyclicSeq, CyclicSeq, CyclicSeq]:
 def minimal_period(s: CyclicSeq) -> int:
     """Smallest divisor d of n with s_i = s_{i+d} for all i."""
     n = s.n
-    for d in sorted(_divisors_of(n)):
+    for d in _divisors(n):
         if d == n:
             break
         mask = (1 << n) - 1
@@ -227,15 +214,3 @@ def minimal_period(s: CyclicSeq) -> int:
         if rot == s.bits:
             return d
     return n
-
-
-def _divisors_of(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out

@@ -152,11 +152,22 @@ def _factorize(m: int) -> dict[int, int]:
     return out
 
 
-def _mult_order(a: int, m: int) -> int:
-    """Multiplicative order of a modulo m (requires gcd(a, m) = 1)."""
+def _split_period(n: int) -> tuple[int, int]:
+    """(odd part, 2-adic valuation) of n."""
+    two_part = (n & -n).bit_length() - 1
+    return n >> two_part, two_part
+
+
+def _euler_phi(m: int) -> int:
     t = 1
     for p, e in _factorize(m).items():
         t *= (p - 1) * p ** (e - 1)
+    return t
+
+
+def _mult_order(a: int, m: int) -> int:
+    """Multiplicative order of a modulo m (requires gcd(a, m) = 1)."""
+    t = _euler_phi(m)
     for q in _factorize(t):
         while t % q == 0 and pow(a, t // q, m) == 1:
             t //= q
@@ -265,9 +276,6 @@ class Poly2:
         return _mod_int(other.bits, self.bits) == 0
 
 
-ZERO = Poly2(0)
-ONE = Poly2(1)
-X = Poly2(2)
 X_PLUS_1 = Poly2(3)
 
 
@@ -407,10 +415,6 @@ class Factorization:
         if prod != (1 << n) | 1:
             raise ValueError("factor product does not reproduce x^N - 1")
 
-    def sorted_by_degree_desc(self) -> list[int]:
-        """Indices of factors ordered by descending degree."""
-        return sorted(range(len(self.factors)), key=lambda i: -self.factors[i].poly.degree)
-
 
 def _prime_power_level_poly(p: int, j: int) -> int:
     """Phi_{p^j} = sum of x^(i * p^(j-1)) for i < p, as raw bits."""
@@ -421,12 +425,6 @@ def _prime_power_level_poly(p: int, j: int) -> int:
     return bits
 
 
-def _check_two_generates(p: int, j: int, n_for_error: int) -> None:
-    m = p**j
-    if _mult_order(2, m) != (p - 1) * p ** (j - 1):
-        raise UnsupportedPeriod(n_for_error, f"2 is not a primitive root mod {p}^{j}")
-
-
 def _cyclotomic_cross_factors(d: int, below: dict[int, list[int]], n_for_error: int) -> list[int]:
     """Split Phi_d (d with several prime divisors) into its irreducible parts.
 
@@ -435,10 +433,7 @@ def _cyclotomic_cross_factors(d: int, below: dict[int, list[int]], n_for_error: 
     multiplicative order exactly d.
     """
     k = _mult_order(2, d)
-    phi = 1
-    for p, e in _factorize(d).items():
-        phi *= (p - 1) * p ** (e - 1)
-    count = phi // k
+    count = _euler_phi(d) // k
     phi_d = (1 << d) | 1
     for dd, polys in below.items():
         if dd < d and d % dd == 0:
@@ -482,8 +477,7 @@ def factor_xn_minus_1(n: int) -> Factorization:
         raise ValueError("period must be positive")
     if n >= 1 << 32:
         raise UnsupportedPeriod(n, "periods beyond 2^32 are out of scope")
-    two_part = (n & -n).bit_length() - 1
-    m = n >> two_part
+    m, two_part = _split_period(n)
     alpha = 1 << two_part
     per_level: dict[int, list[int]] = {}
     for d in _divisors(m):
@@ -495,7 +489,8 @@ def factor_xn_minus_1(n: int) -> Factorization:
             (p, j), = fac_d.items()
             if p >= 1 << 16:
                 raise UnsupportedPeriod(n, f"prime {p} above the 2^16 validation cap")
-            _check_two_generates(p, j, n)
+            if _mult_order(2, d) != _euler_phi(d):
+                raise UnsupportedPeriod(n, f"2 is not a primitive root mod {p}^{j}")
             g = _prime_power_level_poly(p, j)
             if g.bit_length() - 1 <= DEGREE_CAP and not _is_irreducible_int(g):
                 raise UnsupportedPeriod(n, f"level {d} polynomial unexpectedly reducible")

@@ -14,6 +14,8 @@ machine-independent bit-operation meter:
 * ``lc_odd_prime_power``    N = p^n, 2 primitive mod p^n, 2N plus counters
 * ``lc_odd_composite``      odd products of such prime powers
 * ``solve``                 shape dispatcher with oracle fallback
+* ``bound_for`` /
+  ``violates_bound``        the paper's operation bound per algorithm tag
 
 The p * 2^n engine runs the two-phase search (first the exponent of the
 all-ones factor with the halving descent, then Games-Chan for the x+1
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .cyclicseq import CyclicSeq, OpMeter, apply_poly_pow2, is_zero
 from .gf2poly import (
@@ -39,7 +42,8 @@ from .gf2poly import (
     X_PLUS_1,
     _factorize,
     _mult_order,
-    _powmod_int,
+    _prime_power_level_poly,
+    _split_period,
     all_ones,
     exponent,
     factor_xn_minus_1,
@@ -68,6 +72,9 @@ __all__ = [
     "lc_odd_composite",
     "choose_algorithm",
     "solve",
+    "bound_for",
+    "violates_bound",
+    "is_fast",
 ]
 
 TAG_GAMES_CHAN = "GamesChan"
@@ -226,20 +233,11 @@ def find_delta(
     return delta, residual
 
 
-def _general_engine(
-    s: CyclicSeq,
-    fac: Factorization,
-    meter: OpMeter,
-    order: list[int],
-    tag: str,
-) -> LcResult:
-    deltas_by_index: dict[int, int] = {}
-    for idx in order:
-        deltas_by_index[idx] = _find_delta_only(s, fac, idx, meter)
+def _general_engine(s: CyclicSeq, fac: Factorization, meter: OpMeter, tag: str) -> LcResult:
     deltas = tuple(
-        (fp.poly, deltas_by_index[i]) for i, fp in enumerate(fac.factors)
+        (fp.poly, _find_delta_only(s, fac, i, meter)) for i, fp in enumerate(fac.factors)
     )
-    complexity = sum(fp.poly.degree * deltas_by_index[i] for i, fp in enumerate(fac.factors))
+    complexity = sum(q.degree * d for q, d in deltas)
     return LcResult(complexity, tag, meter, deltas=deltas)
 
 
@@ -248,13 +246,13 @@ def min_poly_general(
 ) -> LcResult:
     """Assemble the full minimal polynomial factor by factor.
 
-    Factors are processed in descending degree, re-saturating the others
-    for each target per the power-of-two ceiling argument.
+    For each target factor the others are re-saturated per the power-of-two
+    ceiling argument; every target is independent, so the order is free.
     """
     if fac.modulus_degree != s.n:
         raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, fac, meter, fac.sorted_by_degree_desc(), TAG_GENERAL)
+    return _general_engine(s, fac, meter, TAG_GENERAL)
 
 
 # ---------------------------------------------------------------------------
@@ -370,47 +368,32 @@ def _zero_branch_state(p: int, st: int, blk: int, half_len: int, meter: OpMeter)
     return tau
 
 
-def _px2n_result(p: int, s: CyclicSeq, meter: OpMeter, tag: str) -> LcResult:
-    n = (s.n // p).bit_length() - 1
-    i, j = _px2n_engine(p, s.bits, n, meter)
-    complexity = (p - 1) * i + j
-    return LcResult(
-        complexity, tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j))
-    )
-
-
 def lc_3x2n(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
     """Two-phase procedure for N = 3 * 2^n within 7 * 2^n + 2n operations."""
-    n_odd, n2 = _split_period(s.n)
-    if n_odd != 3:
-        raise UnsupportedPeriod(s.n, "length is not 3 * 2^n")
-    meter = meter if meter is not None else OpMeter()
-    return _px2n_result(3, s, meter, TAG_FAST_3X2N)
+    return lc_px2n(3, s, meter)
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and _factorize(p) == {p: 1}
+def _px2n_prime(p: int) -> bool:
+    """p is a prime below 2^16, p = 1 (mod 4), and 2 is primitive mod p."""
+    return p % 4 == 1 and p < 1 << 16 and _factorize(p) == {p: 1} and _mult_order(2, p) == p - 1
 
 
 def lc_px2n(p: int, s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
-    """Two-phase procedure for N = p * 2^n, p = 1 (mod 4), 2 primitive mod p."""
-    if p != 3:
-        if not _is_prime(p) or p >= 1 << 16:
-            raise UnsupportedPeriod(s.n, f"p={p} is not a prime below 2^16")
-        if p % 4 != 1:
-            raise UnsupportedPeriod(s.n, f"p={p} is not 1 mod 4")
-        if _mult_order(2, p) != p - 1:
-            raise UnsupportedPeriod(s.n, f"2 is not a primitive root mod {p}")
+    """Two-phase procedure for N = p * 2^n, p = 1 (mod 4), 2 primitive mod p.
+
+    p = 3 runs the same engine within the 3 * 2^n bound.
+    """
+    if p != 3 and not _px2n_prime(p):
+        raise UnsupportedPeriod(
+            s.n, f"p={p} is not a prime = 1 mod 4 below 2^16 with 2 primitive mod p"
+        )
     n_odd, n2 = _split_period(s.n)
     if n_odd != p:
         raise UnsupportedPeriod(s.n, f"length is not {p} * 2^n")
     meter = meter if meter is not None else OpMeter()
-    return _px2n_result(p, s, meter, TAG_FAST_PX2N if p != 3 else TAG_FAST_3X2N)
-
-
-def _split_period(n: int) -> tuple[int, int]:
-    two_part = (n & -n).bit_length() - 1
-    return n >> two_part, two_part
+    i, j = _px2n_engine(p, s.bits, n2, meter)
+    tag = TAG_FAST_3X2N if p == 3 else TAG_FAST_PX2N
+    return LcResult((p - 1) * i + j, tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +436,7 @@ def lc_odd_prime_power(
         test_mask = (1 << ((p - 1) * step)) - 1
         r = ((bits >> step) ^ bits) & test_mask
         meter.xor_ops += (p - 1) * step
-        level_poly = Poly2(_level_bits(p, step))
+        level_poly = Poly2(_prime_power_level_poly(p, n - m + 1))
         if r == 0:
             bits &= (1 << step) - 1
             deltas.append((level_poly, 0))
@@ -478,18 +461,11 @@ def lc_odd_prime_power(
     return LcResult(c, TAG_ODD_PRIME_POWER, meter, deltas=tuple(reversed(deltas)))
 
 
-def _level_bits(p: int, step: int) -> int:
-    bits = 0
-    for i in range(p):
-        bits |= 1 << (i * step)
-    return bits
-
-
 def lc_odd_composite(
     primes: list[tuple[int, int]], s: CyclicSeq, meter: OpMeter | None = None
 ) -> LcResult:
-    """Odd N = prod p_i^(n_i): factor-by-factor extraction, one prime group
-    at a time (cyclotomic levels descending)."""
+    """Odd N = prod p_i^(n_i): factor-by-factor extraction over the
+    factorization of x^N - 1."""
     n_val = 1
     seen = set()
     for p, k in primes:
@@ -501,30 +477,7 @@ def lc_odd_composite(
         raise UnsupportedPeriod(s.n, "prime list does not match an odd length")
     fac = factor_xn_minus_1(s.n)
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, fac, meter, list(_composite_order(s.n)), TAG_ODD_COMPOSITE)
-
-
-def _factor_level(q: Poly2, n: int) -> int:
-    """Smallest divisor d of n with q | x^d - 1 (q's cyclotomic level)."""
-    divs = sorted(d for d in range(1, n + 1) if n % d == 0)
-    for d in divs:
-        if _powmod_int(2, d, q.bits) == 1:
-            return d
-    raise ValueError(f"{q!r} does not divide x^{n} - 1")
-
-
-@lru_cache(maxsize=None)
-def _composite_order(n: int) -> tuple[int, ...]:
-    fac = factor_xn_minus_1(n)
-    return tuple(
-        sorted(
-            range(len(fac.factors)),
-            key=lambda i: (
-                -_factor_level(fac.factors[i].poly, n),
-                -fac.factors[i].poly.degree,
-            ),
-        )
-    )
+    return _general_engine(s, fac, meter, TAG_ODD_COMPOSITE)
 
 
 # ---------------------------------------------------------------------------
@@ -549,14 +502,9 @@ def choose_algorithm(n: int) -> AlgorithmChoice:
         return AlgorithmChoice(TAG_GAMES_CHAN, n=two_part)
     if odd == 3:
         return AlgorithmChoice(TAG_FAST_3X2N, p=3, n=two_part)
-    fac_odd = _factorize(odd)
-    if (
-        fac_odd.get(odd) == 1
-        and odd % 4 == 1
-        and odd < 1 << 16
-        and _mult_order(2, odd) == odd - 1
-    ):
+    if _px2n_prime(odd):
         return AlgorithmChoice(TAG_FAST_PX2N, p=odd, n=two_part)
+    fac_odd = _factorize(odd)
     if two_part == 0:
         pp = _prime_power_supported(odd)
         if pp is not None:
@@ -578,23 +526,81 @@ def _factorization_supported(n: int) -> bool:
         return False
 
 
+def _oracle_fallback(choice: AlgorithmChoice, s: CyclicSeq, meter: OpMeter) -> LcResult:
+    res = gcd_method(s)
+    return LcResult(res.complexity, TAG_ORACLE_FALLBACK, meter, min_poly=res.min_poly)
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """One row of the dispatch table.
+
+    ``run(choice, s, meter)`` computes the result; ``bound(n, p, n2)`` is the
+    paper's operation bound for n = p * 2^n2 with p odd, None where it gives
+    none; ``fast`` marks the families ``--algorithm fast`` accepts.  Runners
+    look functions up in this module at call time, so rebinding a module
+    name (to trace it, say) reaches every dispatch.
+    """
+
+    run: Callable[[AlgorithmChoice, CyclicSeq, OpMeter], LcResult]
+    bound: Callable[[int, int, int], int | float] | None = None
+    fast: bool = True
+
+
+_ALGORITHMS = {
+    TAG_GAMES_CHAN: _Algorithm(lambda c, s, m: games_chan(s, m), lambda n, p, n2: n + n2),
+    TAG_FAST_3X2N: _Algorithm(
+        lambda c, s, m: lc_3x2n(s, m), lambda n, p, n2: 7 * (1 << n2) + 2 * n2
+    ),
+    TAG_FAST_PX2N: _Algorithm(
+        lambda c, s, m: lc_px2n(c.p, s, m),
+        lambda n, p, n2: (p * p + 7 * p + 7) / 4 * (1 << n2) + 2 * n2,
+    ),
+    TAG_ODD_PRIME_POWER: _Algorithm(
+        lambda c, s, m: lc_odd_prime_power(c.p, c.n, s, m),
+        lambda n, p, n2: 2 * n + sum(_factorize(p).values()),
+    ),
+    TAG_ODD_COMPOSITE: _Algorithm(lambda c, s, m: lc_odd_composite(list(c.primes), s, m)),
+    TAG_GENERAL: _Algorithm(
+        lambda c, s, m: min_poly_general(s, factor_xn_minus_1(s.n), m), fast=False
+    ),
+    TAG_ORACLE_FALLBACK: _Algorithm(_oracle_fallback, fast=False),
+}
+
+
 def solve(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
     """Dispatch by the shape of the length; total (never errors)."""
     meter = meter if meter is not None else OpMeter()
     choice = choose_algorithm(s.n)
-    if choice.tag == TAG_GAMES_CHAN:
-        return games_chan(s, meter)
-    if choice.tag == TAG_FAST_3X2N:
-        return lc_3x2n(s, meter)
-    if choice.tag == TAG_FAST_PX2N:
-        return lc_px2n(choice.p, s, meter)
-    if choice.tag == TAG_ODD_PRIME_POWER:
-        return lc_odd_prime_power(choice.p, choice.n, s, meter)
-    if choice.tag == TAG_ODD_COMPOSITE:
-        return lc_odd_composite(list(choice.primes), s, meter)
-    if choice.tag == TAG_GENERAL:
-        return min_poly_general(s, factor_xn_minus_1(s.n), meter)
-    res = gcd_method(s)
-    return LcResult(
-        res.complexity, TAG_ORACLE_FALLBACK, meter, min_poly=res.min_poly
-    )
+    return _ALGORITHMS[choice.tag].run(choice, s, meter)
+
+
+def is_fast(tag: str) -> bool:
+    """Whether the tag names one of the paper's fast families."""
+    return _ALGORITHMS[tag].fast
+
+
+def bound_for(tag: str, n: int) -> int | float | None:
+    """The paper's operation bound for the family handling length n, if any.
+
+    For odd prime powers the 2N data-operation bound excludes the counter
+    additions; the reported bound allows them one bit each (2N + n).
+    """
+    algorithm = _ALGORITHMS.get(tag)
+    if algorithm is None or algorithm.bound is None:
+        return None
+    return algorithm.bound(n, *_split_period(n))
+
+
+def violates_bound(tag: str, n: int, meter: OpMeter) -> bool:
+    """Whether a run of the tag's algorithm on length n broke its bound.
+
+    Odd prime powers are checked as the paper states them: data operations
+    within 2N and at most one counter addition per level.
+    """
+    if tag == TAG_ODD_PRIME_POWER:
+        return (meter.xor_ops + meter.cmp_ops > 2 * n) or (
+            meter.counter_ops > sum(_factorize(n).values())
+        )
+    b = bound_for(tag, n)
+    return b is not None and meter.total() > b

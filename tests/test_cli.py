@@ -119,6 +119,103 @@ def test_compute_byte_stable_given_same_flags(capsys):
     assert outs[0] == outs[1]
 
 
+def _delta(bits, human, exponent):
+    return {"factor_bits": bits, "factor_human": human, "exponent": exponent}
+
+
+def _ops(xor, cmp, counter):
+    return {"xor": xor, "cmp": cmp, "counter": counter, "total": xor + cmp + counter}
+
+
+def _golden(n, algorithm, complexity, min_poly_bits, min_poly_human, deltas, ops,
+            bound=None, within_bound=None):
+    return {
+        "n": n, "input_format": "bits", "algorithm": algorithm,
+        "complexity": complexity, "min_poly_bits": min_poly_bits,
+        "min_poly_human": min_poly_human, "deltas": deltas, "ops": ops,
+        "bound": bound, "within_bound": within_bound,
+    }
+
+
+_LEVELS_15 = [
+    _delta("11", "x+1", 0),
+    _delta("111", "x^2+x+1", 1),
+    _delta("11111", "x^4+x^3+x^2+x+1", 1),
+    _delta("11001", "x^4+x+1", 1),
+    _delta("10011", "x^4+x^3+1", 1),
+]
+_HUMAN_15 = "(x^2+x+1)(x^4+x^3+x^2+x+1)(x^4+x+1)(x^4+x^3+1)"
+
+# Full compute reports (minus elapsed_ns), one per dispatched tag; the
+# FastPx2n bound is a float in the JSON.
+_GOLDEN_AUTO = [
+    ("10011010", _golden(
+        8, "GamesChan", 7, "11111111", "(x+1)^7", [_delta("11", "x+1", 7)],
+        _ops(7, 1, 2), 11, True)),
+    ("011010001101", _golden(
+        12, "Fast3x2n", 11, "111111111111", "(x^2+x+1)^4(x+1)^3",
+        [_delta("111", "x^2+x+1", 4), _delta("11", "x+1", 3)],
+        _ops(18, 1, 3), 32, True)),
+    ("10110011100011110000", _golden(
+        20, "FastPx2n", 17, "110011001100110011", "(x^4+x^3+x^2+x+1)^4(x+1)",
+        [_delta("11111", "x^4+x^3+x^2+x+1", 4), _delta("11", "x+1", 1)],
+        _ops(40, 1, 2), 71.0, True)),
+    ("110100111", _golden(
+        9, "OddPrimePower", 8, "111111111", "(x^2+x+1)(x^6+x^3+1)",
+        [_delta("11", "x+1", 0), _delta("111", "x^2+x+1", 1),
+         _delta("1001001", "x^6+x^3+1", 1)],
+        _ops(16, 0, 2), 20, True)),
+    ("100101110010011", _golden(
+        15, "OddComposite", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
+        _ops(660, 0, 0))),
+    ("101100111000101101", _golden(
+        18, "General", 16, "10101010101010101", "(x^2+x+1)^2(x^6+x^3+1)^2",
+        [_delta("11", "x+1", 0), _delta("111", "x^2+x+1", 2),
+         _delta("1001001", "x^6+x^3+1", 2)],
+        _ops(252, 0, 2))),
+    ("0011010", _golden(
+        7, "OracleFallback", 4, "10111", "x^4+x^3+x^2+1", None, _ops(0, 0, 0))),
+]
+
+_GOLDEN_FORCED = [
+    (("100101110010011", "--algorithm", "general"), _golden(
+        15, "General", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
+        _ops(660, 0, 0))),
+    (("100110", "--algorithm", "gcd"), _golden(
+        6, "GcdMethod", 6, "1000001", "x^6+1", None, _ops(0, 0, 0))),
+    (("011010001101", "--algorithm", "bm"), _golden(
+        12, "BerlekampMassey", 11, "111111111111",
+        "x^11+x^10+x^9+x^8+x^7+x^6+x^5+x^4+x^3+x^2+x+1", None, _ops(0, 0, 0))),
+    (("000101", "--algorithm", "ppp", "--poly", "111"), _golden(
+        6, "PPP", 4, "10101", "(x^2+x+1)^2", [_delta("111", "x^2+x+1", 2)],
+        _ops(24, 0, 1))),
+]
+
+
+def _report_text(capsys, *argv):
+    rep = run_json(capsys, "compute", "--seq", *argv)
+    del rep["elapsed_ns"]
+    return json.dumps(rep)
+
+
+@pytest.mark.parametrize(
+    "seq, want", _GOLDEN_AUTO, ids=[want["algorithm"] for _, want in _GOLDEN_AUTO]
+)
+def test_compute_golden_report_per_tag(capsys, seq, want):
+    assert _report_text(capsys, seq) == json.dumps(want)
+    if want["algorithm"] in ("General", "OracleFallback"):
+        assert run(capsys, "compute", "--seq", seq, "--algorithm", "fast")[0] == 3
+    else:
+        assert _report_text(capsys, seq, "--algorithm", "fast") == json.dumps(want)
+
+
+@pytest.mark.parametrize(
+    "argv, want", _GOLDEN_FORCED, ids=[argv[2] for argv, _ in _GOLDEN_FORCED]
+)
+def test_compute_golden_report_forced_algorithm(capsys, argv, want):
+    assert _report_text(capsys, *argv) == json.dumps(want)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -163,6 +260,17 @@ def test_verify_flag_validation(capsys):
     assert code == 2
     code, out, err = run(capsys, "verify", "--n", "8", "--family", "pow2")
     assert code == 2
+    # counts that are not positive: no traceback, no empty pass
+    for argv in (
+        ("verify", "--n", "0"),
+        ("verify", "--n", "5", "--trials", "-3"),
+        ("verify", "--family", "pow2", "--n-max", "0"),
+        ("bench", "--family", "pow2", "--trials", "0"),
+        ("bench", "--family", "pow2", "--n-max", "0"),
+        ("enumerate", "--poly", "111", "--max-power", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error" in err and not out, argv
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +300,35 @@ def test_bench_bound_columns(capsys):
     row = next(r for r in rows if r["N"] == 5 * 1024)
     assert row["bound"] == 16.75 * 1024 + 20
     assert row["beta_max"] <= row["bound"] / row["N"]
+
+
+_GOLDEN_BENCH = {
+    "pow2": (3, {"family": "pow2", "N": 8, "algorithm": "GamesChan", "trials": 3,
+                 "ops_max": 10, "ops_mean": 10.0, "bound": 11, "beta_max": 1.25}),
+    "3x2n": (4, {"family": "3x2n", "N": 24, "algorithm": "Fast3x2n", "trials": 3,
+                 "ops_max": 48, "ops_mean": 47.0, "bound": 62, "beta_max": 2.0}),
+    "5x2n": (4, {"family": "5x2n", "N": 40, "algorithm": "FastPx2n", "trials": 3,
+                 "ops_max": 95, "ops_mean": 88.0, "bound": 140.0, "beta_max": 2.375}),
+    "p^n": (3, {"family": "p^n", "N": 27, "algorithm": "OddPrimePower", "trials": 3,
+                "ops_max": 55, "ops_mean": 55.0, "bound": 57,
+                "beta_max": 2.037037037037037}),
+    "composite": (3, {"family": "composite", "N": 39, "algorithm": "OddComposite",
+                      "trials": 3, "ops_max": 4836, "ops_mean": 4836.0, "bound": None,
+                      "beta_max": 124.0}),
+}
+
+
+@pytest.mark.parametrize("family", list(_GOLDEN_BENCH))
+def test_bench_golden_row_per_family(capsys, family):
+    rows = run_json(
+        capsys, "bench", "--family", family, "--n-max", "3", "--trials", "3",
+        "--seed", "11",
+    )
+    count, want = _GOLDEN_BENCH[family]
+    assert len(rows) == count
+    last = rows[-1]
+    del last["elapsed_ns"]
+    assert json.dumps(last) == json.dumps(want)
 
 
 def test_bench_csv(capsys):

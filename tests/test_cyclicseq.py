@@ -157,6 +157,9 @@ def test_hex_length_validation():
         CyclicSeq.from_hex_str("a4", 6)  # second digit sets bit 6
     ok = CyclicSeq.from_hex_str("21", 6)
     assert ok.to_list() == [0, 1, 0, 0, 1, 0]
+    for text in ("a_1", " a1", "a1 "):  # int(text, 16) accepts all three
+        with pytest.raises(ValueError):
+            CyclicSeq.from_hex_str(text, 12)
 
 
 def test_invalid_inputs():

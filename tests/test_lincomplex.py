@@ -396,10 +396,14 @@ def test_lc_odd_composite_examples():
 
 
 def test_lc_odd_composite_exhaustive_15():
+    fac = factor_xn_minus_1(15)
     for bits in range(1 << 15):
         s = CyclicSeq(bits, 15)
         r = lc_odd_composite([(3, 1), (5, 1)], s)
         assert r.key() == gcd_method(s).key(), bits
+        # the factor order does not change the cost: same engine, same meter
+        g = min_poly_general(s, fac)
+        assert (r.meter, r.deltas) == (g.meter, g.deltas), bits
 
 
 # ---------------------------------------------------------------------------
