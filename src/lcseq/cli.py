@@ -18,10 +18,9 @@ import time
 
 from ._rng import SplitMix64
 from .cyclicseq import CyclicSeq
-from .gf2poly import Poly2, UnsupportedPeriod, _factorize, factor_xn_minus_1, is_primitive
+from .gf2poly import Poly2, UnsupportedPeriod, factor_xn_minus_1, is_primitive
 from .lincomplex import (
     NotGeneratedBy,
-    _factorization_supported,
     bound_for,
     choose_algorithm,
     games_chan,
@@ -129,7 +128,10 @@ def _run_algorithm(name: str, s: CyclicSeq, poly_arg: str | None) -> LcResult:
     if name == "ppp":
         if poly_arg is None:
             raise _UsageError("--algorithm ppp requires --poly")
-        f = Poly2.from_bits_str(poly_arg)
+        try:
+            f = Poly2.from_bits_str(poly_arg)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
         return ppp(f, s)[1]
     if name == "fast":
         if not is_fast(choose_algorithm(s.n).tag):
@@ -182,7 +184,7 @@ def _family_lengths(family: str, n_max: int) -> list[int]:
         m = 3
         while len(out) < n_max and m <= 4096:
             m += 2
-            if len(_factorize(m)) >= 2 and _factorization_supported(m):
+            if choose_algorithm(m).primes:  # only OddComposite lists primes
                 out.append(m)
         return out
     raise _UsageError(f"unknown family {family!r}")

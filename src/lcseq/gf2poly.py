@@ -14,7 +14,7 @@ period families the fast algorithms support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 __all__ = [
     "Poly2",
@@ -39,6 +39,10 @@ DEGREE_CAP = 24
 # Degree cap for enumerating the equal-degree factors of a cross-cyclotomic
 # level (composite odd periods such as 15 = 3*5).
 _ENUM_CAP = 16
+
+# Entries kept by each per-length or per-polynomial cache; holds every
+# length a benchmark workload or a test campaign revisits.
+_CACHE_SIZE = 4096
 
 
 class UnsupportedPeriod(ValueError):
@@ -314,7 +318,7 @@ def gcd(a: Poly2, b: Poly2) -> Poly2:
     return Poly2(_gcd_int(a.bits, b.bits))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _exponent_int(fbits: int) -> int:
     f = Poly2(fbits)
     k = f.degree
@@ -348,7 +352,7 @@ def exponent(f: Poly2) -> int:
     return _exponent_int(f.bits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _is_irreducible_int(fbits: int) -> bool:
     deg = fbits.bit_length() - 1
     if deg > DEGREE_CAP:
@@ -425,26 +429,41 @@ def _prime_power_level_poly(p: int, j: int) -> int:
     return bits
 
 
-def _cyclotomic_cross_factors(d: int, below: dict[int, list[int]], n_for_error: int) -> list[int]:
+def _support_gap(n: int) -> str | None:
+    """Why x^N - 1 is outside the supported families, or None if it is not.
+
+    Over GF(2) the cyclotomic level Phi_d splits into phi(d)/ord_d(2)
+    irreducible factors of degree ord_d(2), so support is decided by the
+    divisors d of N's odd part alone: a prime-power level p^j needs
+    p < 2^16 and 2 primitive mod p^j (Phi_{p^j} irreducible), and a level
+    with several primes needs ord_d(2) <= _ENUM_CAP for the enumeration
+    that splits it.  The first failing level, in increasing d, is reported.
+    """
+    for d in _divisors(_split_period(n)[0])[1:]:
+        fac_d = _factorize(d)
+        if len(fac_d) > 1:
+            k = _mult_order(2, d)
+            if k > _ENUM_CAP:
+                return f"cross-cyclotomic degree {k} above enumeration cap"
+            continue
+        (p, j), = fac_d.items()
+        if p >= 1 << 16:
+            return f"prime {p} above the 2^16 validation cap"
+        if _mult_order(2, d) != _euler_phi(d):
+            return f"2 is not a primitive root mod {p}^{j}"
+    return None
+
+
+def _cyclotomic_cross_factors(d: int) -> list[int]:
     """Split Phi_d (d with several prime divisors) into its irreducible parts.
 
-    All parts share the degree k = ord_d(2); they are found by enumerating
-    monic degree-k candidates with constant term 1 whose root x has
-    multiplicative order exactly d.
+    All parts share the degree k = ord_d(2) <= _ENUM_CAP; they are found by
+    enumerating monic degree-k candidates with constant term 1 whose root x
+    has multiplicative order exactly d.  The caller's product check catches
+    a split that misses a part.
     """
     k = _mult_order(2, d)
     count = _euler_phi(d) // k
-    phi_d = (1 << d) | 1
-    for dd, polys in below.items():
-        if dd < d and d % dd == 0:
-            for q in polys:
-                phi_d, rem = _divrem_int(phi_d, q)
-                if rem:
-                    raise UnsupportedPeriod(n_for_error, "cyclotomic division failed")
-    if count == 1:
-        return [phi_d]
-    if k > _ENUM_CAP:
-        raise UnsupportedPeriod(n_for_error, f"cross-cyclotomic degree {k} above enumeration cap")
     proper = [d // p for p in _factorize(d)]
     found: list[int] = []
     for c in range(1 << (k - 1)):
@@ -458,18 +477,17 @@ def _cyclotomic_cross_factors(d: int, below: dict[int, list[int]], n_for_error: 
         found.append(cand)
         if len(found) == count:
             break
-    prod = reduce(_mul_int, found, 1)
-    if len(found) != count or prod != phi_d:
-        raise UnsupportedPeriod(n_for_error, f"could not split level-{d} cyclotomic factor")
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factor_xn_minus_1(n: int) -> Factorization:
     """Factor x^N - 1 for the supported period families.
 
-    Supported: N = 2^a, prime powers p^k with 2 a primitive root mod every
-    p^j (j <= k), products of such odd prime powers, and any of these times
+    Supported: N < 2^32 whose odd part has only primes p < 2^16, with 2 a
+    primitive root mod every prime power p^j dividing it, and whose
+    divisors d with several primes have ord_d(2) <= 16.  That covers
+    N = 2^a, odd prime powers p^k, products of them, and any of these times
     a power of two.  Raises UnsupportedPeriod otherwise; callers fall back
     to the oracle module.
     """
@@ -477,30 +495,21 @@ def factor_xn_minus_1(n: int) -> Factorization:
         raise ValueError("period must be positive")
     if n >= 1 << 32:
         raise UnsupportedPeriod(n, "periods beyond 2^32 are out of scope")
+    gap = _support_gap(n)
+    if gap is not None:
+        raise UnsupportedPeriod(n, gap)
     m, two_part = _split_period(n)
     alpha = 1 << two_part
-    per_level: dict[int, list[int]] = {}
-    for d in _divisors(m):
-        if d == 1:
-            per_level[1] = [0b11]
-            continue
+    levels = [[0b11]]
+    for d in _divisors(m)[1:]:
         fac_d = _factorize(d)
         if len(fac_d) == 1:
             (p, j), = fac_d.items()
-            if p >= 1 << 16:
-                raise UnsupportedPeriod(n, f"prime {p} above the 2^16 validation cap")
-            if _mult_order(2, d) != _euler_phi(d):
-                raise UnsupportedPeriod(n, f"2 is not a primitive root mod {p}^{j}")
-            g = _prime_power_level_poly(p, j)
-            if g.bit_length() - 1 <= DEGREE_CAP and not _is_irreducible_int(g):
-                raise UnsupportedPeriod(n, f"level {d} polynomial unexpectedly reducible")
-            per_level[d] = [g]
+            levels.append([_prime_power_level_poly(p, j)])
         else:
-            per_level[d] = _cyclotomic_cross_factors(d, per_level, n)
+            levels.append(_cyclotomic_cross_factors(d))
     factors = tuple(
-        FactorPower(Poly2(q), alpha, two_part)
-        for d in sorted(per_level)
-        for q in per_level[d]
+        FactorPower(Poly2(q), alpha, two_part) for level in levels for q in level
     )
     fac = Factorization(n, factors)
     fac.validate()

@@ -40,10 +40,11 @@ from .gf2poly import (
     Poly2,
     UnsupportedPeriod,
     X_PLUS_1,
+    _CACHE_SIZE,
     _factorize,
-    _mult_order,
     _prime_power_level_poly,
     _split_period,
+    _support_gap,
     all_ones,
     exponent,
     factor_xn_minus_1,
@@ -373,44 +374,22 @@ def lc_3x2n(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
     return lc_px2n(3, s, meter)
 
 
-def _px2n_prime(p: int) -> bool:
-    """p is a prime below 2^16, p = 1 (mod 4), and 2 is primitive mod p."""
-    return p % 4 == 1 and p < 1 << 16 and _factorize(p) == {p: 1} and _mult_order(2, p) == p - 1
-
-
 def lc_px2n(p: int, s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
     """Two-phase procedure for N = p * 2^n, p = 1 (mod 4), 2 primitive mod p.
 
     p = 3 runs the same engine within the 3 * 2^n bound.
     """
-    if p != 3 and not _px2n_prime(p):
-        raise UnsupportedPeriod(
-            s.n, f"p={p} is not a prime = 1 mod 4 below 2^16 with 2 primitive mod p"
-        )
-    n_odd, n2 = _split_period(s.n)
-    if n_odd != p:
-        raise UnsupportedPeriod(s.n, f"length is not {p} * 2^n")
+    choice = choose_algorithm(s.n)
+    if choice.tag not in (TAG_FAST_3X2N, TAG_FAST_PX2N) or choice.p != p:
+        raise UnsupportedPeriod(s.n, f"length is not {p} * 2^n with p in a fast family")
     meter = meter if meter is not None else OpMeter()
-    i, j = _px2n_engine(p, s.bits, n2, meter)
+    i, j = _px2n_engine(p, s.bits, choice.n, meter)
     tag = TAG_FAST_3X2N if p == 3 else TAG_FAST_PX2N
     return LcResult((p - 1) * i + j, tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
 
 
 # ---------------------------------------------------------------------------
 # odd periods
-
-
-def _prime_power_supported(m: int) -> tuple[int, int] | None:
-    fac = _factorize(m)
-    if len(fac) != 1:
-        return None
-    (p, k), = fac.items()
-    if p == 2 or p >= 1 << 16:
-        return None
-    for j in range(1, k + 1):
-        if _mult_order(2, p**j) != (p - 1) * p ** (j - 1):
-            return None
-    return p, k
 
 
 def lc_odd_prime_power(
@@ -422,10 +401,10 @@ def lc_odd_prime_power(
     (reading (p-1) * p^(n-m) freshly formed difference bits suffices) and,
     if not, strips the corresponding level polynomial.
     """
-    if _prime_power_supported(p**n) != (p, n):
-        raise UnsupportedPeriod(s.n, f"2 is not a primitive root mod {p}^{{1..{n}}}")
-    if s.n != p**n:
-        raise UnsupportedPeriod(s.n, f"length is not {p}^{n}")
+    # choose_algorithm sets p for an odd length only when it is a supported
+    # prime power (or a supported prime, dispatched to a p * 2^n family)
+    if s.n != p**n or choose_algorithm(s.n).p != p:
+        raise UnsupportedPeriod(s.n, f"length is not {p}^{n} for a supported prime p")
     meter = meter if meter is not None else OpMeter()
     bits = s.bits
     c = 0
@@ -466,14 +445,7 @@ def lc_odd_composite(
 ) -> LcResult:
     """Odd N = prod p_i^(n_i): factor-by-factor extraction over the
     factorization of x^N - 1."""
-    n_val = 1
-    seen = set()
-    for p, k in primes:
-        if p in seen or p == 2 or k < 1:
-            raise UnsupportedPeriod(s.n, "invalid prime list")
-        seen.add(p)
-        n_val *= p**k
-    if n_val != s.n or s.n % 2 == 0:
+    if s.n % 2 == 0 or sorted(map(tuple, primes)) != sorted(_factorize(s.n).items()):
         raise UnsupportedPeriod(s.n, "prime list does not match an odd length")
     fac = factor_xn_minus_1(s.n)
     meter = meter if meter is not None else OpMeter()
@@ -492,9 +464,13 @@ class AlgorithmChoice:
     primes: tuple[tuple[int, int], ...] | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def choose_algorithm(n: int) -> AlgorithmChoice:
-    """Most specific applicable algorithm for a cycle length."""
+    """Most specific applicable algorithm for a cycle length.
+
+    The family follows from the shape of n and the support gate on its odd
+    part; the engines that factor x^N - 1 also need N below 2^32.
+    """
     if n < 1:
         raise ValueError("length must be >= 1")
     odd, two_part = _split_period(n)
@@ -502,28 +478,20 @@ def choose_algorithm(n: int) -> AlgorithmChoice:
         return AlgorithmChoice(TAG_GAMES_CHAN, n=two_part)
     if odd == 3:
         return AlgorithmChoice(TAG_FAST_3X2N, p=3, n=two_part)
-    if _px2n_prime(odd):
-        return AlgorithmChoice(TAG_FAST_PX2N, p=odd, n=two_part)
+    if _support_gap(odd) is not None:
+        return AlgorithmChoice(TAG_ORACLE_FALLBACK)
     fac_odd = _factorize(odd)
+    if len(fac_odd) == 1:
+        (p, k), = fac_odd.items()
+        if k == 1 and p % 4 == 1:
+            return AlgorithmChoice(TAG_FAST_PX2N, p=p, n=two_part)
+        if two_part == 0:
+            return AlgorithmChoice(TAG_ODD_PRIME_POWER, p=p, n=k)
+    if n >= 1 << 32:
+        return AlgorithmChoice(TAG_ORACLE_FALLBACK)
     if two_part == 0:
-        pp = _prime_power_supported(odd)
-        if pp is not None:
-            return AlgorithmChoice(TAG_ODD_PRIME_POWER, p=pp[0], n=pp[1])
-        if len(fac_odd) > 1 and _factorization_supported(n):
-            return AlgorithmChoice(
-                TAG_ODD_COMPOSITE, primes=tuple(sorted(fac_odd.items()))
-            )
-    if _factorization_supported(n):
-        return AlgorithmChoice(TAG_GENERAL)
-    return AlgorithmChoice(TAG_ORACLE_FALLBACK)
-
-
-def _factorization_supported(n: int) -> bool:
-    try:
-        factor_xn_minus_1(n)
-        return True
-    except UnsupportedPeriod:
-        return False
+        return AlgorithmChoice(TAG_ODD_COMPOSITE, primes=tuple(sorted(fac_odd.items())))
+    return AlgorithmChoice(TAG_GENERAL)
 
 
 def _oracle_fallback(choice: AlgorithmChoice, s: CyclicSeq, meter: OpMeter) -> LcResult:

@@ -85,6 +85,11 @@ class LcResult:
         )
 
 
+def _reversed(bits: int, deg: int) -> int:
+    """x^deg * f(1/x): coefficient j moves to deg - j (needs deg f <= deg)."""
+    return int(format(bits, f"0{deg + 1}b")[::-1], 2)
+
+
 def gcd_method(s: CyclicSeq) -> LcResult:
     """Minimal polynomial via gcd(s^N(x), x^N - 1); complexity = its codegree.
 
@@ -101,11 +106,7 @@ def gcd_method(s: CyclicSeq) -> LcResult:
     f, rem = _divrem_int(xn1, g)
     assert rem == 0
     deg = f.bit_length() - 1
-    fbits = 0
-    for j in range(deg + 1):
-        if (f >> j) & 1:
-            fbits |= 1 << (deg - j)
-    return LcResult(deg, "GcdMethod", meter, min_poly=Poly2(fbits))
+    return LcResult(deg, "GcdMethod", meter, min_poly=Poly2(_reversed(f, deg)))
 
 
 def berlekamp_massey(s: CyclicSeq) -> LcResult:
@@ -139,11 +140,7 @@ def berlekamp_massey(s: CyclicSeq) -> LcResult:
                 c_poly ^= b_poly << shift
                 sc ^= sb << shift
     # reverse the register taps into a monic degree-`deg` polynomial
-    fbits = 0
-    for j in range(deg + 1):
-        if (c_poly >> j) & 1:
-            fbits |= 1 << (deg - j)
-    return LcResult(deg, "BerlekampMassey", meter, min_poly=Poly2(fbits))
+    return LcResult(deg, "BerlekampMassey", meter, min_poly=Poly2(_reversed(c_poly, deg)))
 
 
 def msequence(f: Poly2) -> CyclicSeq:

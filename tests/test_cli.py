@@ -81,6 +81,8 @@ def test_compute_malformed_input_exit_2(capsys):
     assert code == 2  # missing --len
     code, out, err = run(capsys, "compute", "--seq", "111", "--algorithm", "ppp")
     assert code == 2  # missing --poly
+    code, out, err = run(capsys, "compute", "--seq", "111", "--algorithm", "ppp", "--poly", "1x")
+    assert code == 2 and err  # malformed --poly
     code, out, err = run(capsys, "compute")
     assert code == 2  # neither --seq nor --in
 

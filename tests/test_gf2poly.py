@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcseq.gf2poly import (
+    DEGREE_CAP,
     DegreeCapExceeded,
     Poly2,
     UnsupportedPeriod,
@@ -135,6 +136,8 @@ def test_factor_product_check_all_supported_lengths():
         prod = Poly2(1)
         for f in fac.factors:
             prod = prod * (f.poly ** f.multiplicity)
+            # the support gate promises irreducible levels without testing them
+            assert f.poly.degree > DEGREE_CAP or is_irreducible(f.poly), (n, f.poly)
         assert prod == x_pow_n_minus_1(n), n
     assert supported > 100  # the families are not trivially empty
 

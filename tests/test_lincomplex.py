@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from lcseq import gf2poly
 from lcseq._rng import SplitMix64
 from lcseq.cyclicseq import CyclicSeq, OpMeter, apply_poly, apply_poly_pow2
 from lcseq.gf2poly import (
@@ -10,6 +13,7 @@ from lcseq.gf2poly import (
     x_pow_n_minus_1,
 )
 from lcseq.lincomplex import (
+    AlgorithmChoice,
     NotGeneratedBy,
     TAG_FAST_3X2N,
     TAG_FAST_PX2N,
@@ -341,6 +345,26 @@ def test_lc_px2n_validation():
         lc_px2n(11, S("0" * 11))  # 11 = 3 mod 4
     with pytest.raises(UnsupportedPeriod):
         lc_px2n(5, S("0" * 15))  # length mismatch
+    with pytest.raises(UnsupportedPeriod):
+        lc_px2n(9, S("0" * 18))  # 9 is not prime
+    assert lc_px2n(3, S("011")).key() == gcd_method(S("011")).key()
+    assert lc_px2n(13, S("01" + "0" * 24)).key() == gcd_method(S("01" + "0" * 24)).key()
+    # the odd entry points check their arguments against the same dispatch
+    with pytest.raises(UnsupportedPeriod):
+        lc_odd_prime_power(9, 1, S("0" * 9))  # 9 is not prime
+    with pytest.raises(UnsupportedPeriod):
+        lc_odd_prime_power(7, 1, S("0" * 7))  # 2 has order 3 mod 7
+    with pytest.raises(UnsupportedPeriod):
+        lc_odd_prime_power(3, 2, S("0" * 27))  # length mismatch
+    with pytest.raises(UnsupportedPeriod):
+        lc_odd_composite([(3, 1), (3, 1)], S("0" * 9))  # repeated prime
+    with pytest.raises(UnsupportedPeriod):
+        lc_odd_composite([(3, 1), (5, 1)], S("0" * 30))  # even length
+    for p, k in ((3, 1), (5, 1), (5, 2)):
+        s = CyclicSeq(1, p**k)
+        assert lc_odd_prime_power(p, k, s).key() == gcd_method(s).key()
+    s = S("0" * 14 + "1")
+    assert lc_odd_composite([(5, 1), (3, 1)], s).key() == gcd_method(s).key()
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +444,41 @@ def test_dispatch_examples():
     assert choose_algorithm(15).tag == TAG_ODD_COMPOSITE
     assert choose_algorithm(18).tag == TAG_GENERAL
     assert choose_algorithm(13).tag == TAG_FAST_PX2N
+
+
+def test_dispatch_census_below_3000():
+    census = Counter(choose_algorithm(n).tag for n in range(1, 3000))
+    assert census == {
+        TAG_GAMES_CHAN: 12,
+        TAG_FAST_3X2N: 10,
+        TAG_FAST_PX2N: 204,
+        TAG_ODD_PRIME_POWER: 95,
+        TAG_ODD_COMPOSITE: 8,
+        TAG_GENERAL: 189,
+        TAG_ORACLE_FALLBACK: 2481,
+    }
+
+
+def test_dispatch_large_lengths():
+    # no factorization of x^N - 1 is needed (or possible) at these sizes
+    assert choose_algorithm(3**21) == AlgorithmChoice(TAG_ODD_PRIME_POWER, p=3, n=21)
+    assert choose_algorithm(5 << 40) == AlgorithmChoice(TAG_FAST_PX2N, p=5, n=40)
+    assert choose_algorithm(1 << 40) == AlgorithmChoice(TAG_GAMES_CHAN, n=40)
+    assert choose_algorithm(15 << 40) == AlgorithmChoice(TAG_ORACLE_FALLBACK)
+
+
+def test_caches_are_bounded():
+    for cached in (
+        choose_algorithm,
+        factor_xn_minus_1,
+        gf2poly._exponent_int,
+        gf2poly._is_irreducible_int,
+    ):
+        assert cached.cache_parameters()["maxsize"] == gf2poly._CACHE_SIZE
+    for n in range(1, gf2poly._CACHE_SIZE + 100):
+        choose_algorithm(n)
+    info = choose_algorithm.cache_info()
+    assert info.currsize == info.maxsize
 
 
 def test_dispatch_consistency_with_length_shape():
