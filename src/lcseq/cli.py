@@ -18,7 +18,7 @@ import time
 
 from ._rng import SplitMix64
 from .cyclicseq import CyclicSeq
-from .gf2poly import Poly2, UnsupportedPeriod, factor_xn_minus_1, is_primitive
+from .gf2poly import Poly2, UnsupportedPeriod, factor_xn_minus_1, is_irreducible, is_primitive
 from .lincomplex import (
     NotGeneratedBy,
     bound_for,
@@ -61,9 +61,7 @@ def make_report(s: CyclicSeq, input_format: str, result: LcResult, elapsed_ns: i
     tag = result.algorithm
     bound = bound_for(tag, s.n)
     ops = result.meter.as_dict()
-    within = None
-    if bound is not None:
-        within = ops["total"] <= bound
+    within = None if bound is None else not violates_bound(tag, s.n, result.meter)
     deltas = None
     if result.deltas is not None:
         deltas = [
@@ -132,6 +130,8 @@ def _run_algorithm(name: str, s: CyclicSeq, poly_arg: str | None) -> LcResult:
             f = Poly2.from_bits_str(poly_arg)
         except ValueError as exc:
             raise _UsageError(str(exc))
+        if f.degree < 1 or not is_irreducible(f):
+            raise _UsageError(f"{f.to_human()} is not irreducible")
         return ppp(f, s)[1]
     if name == "fast":
         if not is_fast(choose_algorithm(s.n).tag):
@@ -167,27 +167,36 @@ def cmd_compute(args) -> int:
 # verify / bench campaigns
 
 
-_FAMILIES = ("pow2", "3x2n", "5x2n", "p^n", "composite")
+# (first k, k-th length) of each family; composite is the finite one
+_FAMILIES = {
+    "pow2": (1, lambda k: 1 << k),
+    "3x2n": (0, lambda k: 3 << k),
+    "5x2n": (0, lambda k: 5 << k),
+    "p^n": (1, lambda k: 3**k),
+    "composite": None,
+}
+
+# Longest sequence a campaign draws, as --exhaustive caps n at 20: the draw
+# and the oracles are quadratic in it, so a much longer one runs for hours.
+_CAMPAIGN_BIT_CAP = 1 << 20
+
+
+def _campaign_length(n: int) -> int:
+    if n > _CAMPAIGN_BIT_CAP:
+        raise _UsageError(f"campaign length {n} exceeds the cap of 2^20 bits")
+    return n
 
 
 def _family_lengths(family: str, n_max: int) -> list[int]:
-    if family == "pow2":
-        return [1 << k for k in range(1, n_max + 1)]
-    if family == "3x2n":
-        return [3 << k for k in range(0, n_max + 1)]
-    if family == "5x2n":
-        return [5 << k for k in range(0, n_max + 1)]
-    if family == "p^n":
-        return [3**k for k in range(1, n_max + 1)]
     if family == "composite":
-        out = []
-        m = 3
-        while len(out) < n_max and m <= 4096:
-            m += 2
-            if choose_algorithm(m).primes:  # only OddComposite lists primes
-                out.append(m)
-        return out
-    raise _UsageError(f"unknown family {family!r}")
+        # only OddComposite lists primes: the support rule admits 15 ... 585
+        lengths = [m for m in range(5, 4098, 2) if choose_algorithm(m).primes]
+        if len(lengths) < n_max:
+            raise _UsageError(f"family 'composite' has only {len(lengths)} lengths, not {n_max}")
+        return lengths[:n_max]
+    first, length = _FAMILIES[family]
+    # stops at the first length over the cap, before building the next one
+    return [_campaign_length(length(k)) for k in range(first, n_max + 1)]
 
 
 def _check_one(s: CyclicSeq) -> tuple[bool, bool, LcResult]:
@@ -199,8 +208,7 @@ def _check_one(s: CyclicSeq) -> tuple[bool, bool, LcResult]:
 
 def cmd_verify(args) -> int:
     if (args.n is None) == (args.family is None):
-        print("error: exactly one of --n and --family is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("exactly one of --n and --family is required")
     checked = 0
     mismatches = 0
     mismatch_examples: list[str] = []
@@ -223,11 +231,11 @@ def cmd_verify(args) -> int:
     if args.n is not None:
         if args.exhaustive:
             if args.n > 20:
-                print("error: exhaustive verification caps n at 20", file=sys.stderr)
-                return EXIT_USAGE
+                raise _UsageError("exhaustive verification caps n at 20")
             for bits in range(1 << args.n):
                 consider(CyclicSeq(bits, args.n))
         else:
+            _campaign_length(args.n)
             rng = SplitMix64(args.seed)
             for _ in range(args.trials):
                 consider(CyclicSeq(rng.getrandbits(args.n), args.n))
@@ -298,11 +306,9 @@ def cmd_enumerate(args) -> int:
     try:
         f = Poly2.from_bits_str(args.poly)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc))
     if f.degree < 1 or not is_primitive(f):
-        print(f"error: {f.to_human()} is not primitive", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"{f.to_human()} is not primitive")
     k = f.degree
     if k * args.max_power > 20:
         print("error: degree * max-power exceeds the brute-force cap 20", file=sys.stderr)

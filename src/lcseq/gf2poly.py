@@ -13,8 +13,10 @@ period families the fast algorithms support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 __all__ = [
     "Poly2",
@@ -36,8 +38,8 @@ __all__ = [
 # algorithms here never need factors above this degree.
 DEGREE_CAP = 24
 
-# Degree cap for enumerating the equal-degree factors of a cross-cyclotomic
-# level (composite odd periods such as 15 = 3*5).
+# Degree cap for splitting a cyclotomic level Phi_d (d with several primes,
+# such as 15 = 3*5) by dividing it by every candidate of degree ord_d(2).
 _ENUM_CAP = 16
 
 # Entries kept by each per-length or per-polynomial cache; holds every
@@ -420,15 +422,6 @@ class Factorization:
             raise ValueError("factor product does not reproduce x^N - 1")
 
 
-def _prime_power_level_poly(p: int, j: int) -> int:
-    """Phi_{p^j} = sum of x^(i * p^(j-1)) for i < p, as raw bits."""
-    step = p ** (j - 1)
-    bits = 0
-    for i in range(p):
-        bits |= 1 << (i * step)
-    return bits
-
-
 def _support_gap(n: int) -> str | None:
     """Why x^N - 1 is outside the supported families, or None if it is not.
 
@@ -454,35 +447,37 @@ def _support_gap(n: int) -> str | None:
     return None
 
 
-def _cyclotomic_cross_factors(d: int) -> list[int]:
-    """Split Phi_d (d with several prime divisors) into its irreducible parts.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cyclotomic_factors(d: int) -> tuple[int, ...]:
+    """The irreducible factors of Phi_d over GF(2), as raw bits in increasing order.
 
-    All parts share the degree k = ord_d(2) <= _ENUM_CAP; they are found by
-    enumerating monic degree-k candidates with constant term 1 whose root x
-    has multiplicative order exactly d.  The caller's product check catches
-    a split that misses a part.
+    Phi_d(x) = Phi_r(x^(d/r)) with r the product of d's distinct primes, and
+    Phi_r = (x^r - 1) / lcm over primes p | r of (x^(r/p) - 1).  Every
+    irreducible factor of Phi_d has degree k = ord_d(2), so Phi_d is itself
+    irreducible when k = phi(d); otherwise any degree-k divisor of Phi_d is
+    one of its phi(d)/k factors, and each is found by one exact division.
     """
+    primes = _factorize(d)
+    r = math.prod(primes)
+    den = 1
+    for p in primes:
+        b = (1 << (r // p)) | 1
+        den = _divrem_int(_mul_int(den, b), _gcd_int(den, b))[0]
+    phi_r = _divrem_int((1 << r) | 1, den)[0]
+    phi = int(("0" * (d // r - 1)).join(format(phi_r, "b")), 2)
     k = _mult_order(2, d)
-    count = _euler_phi(d) // k
-    proper = [d // p for p in _factorize(d)]
-    found: list[int] = []
-    for c in range(1 << (k - 1)):
-        cand = (1 << k) | (c << 1) | 1
-        if _powmod_int(2, d, cand) != 1:
-            continue
-        if any(_powmod_int(2, dp, cand) == 1 for dp in proper):
-            continue
-        if not _is_irreducible_int(cand):
-            continue
-        found.append(cand)
-        if len(found) == count:
-            break
-    return found
+    if k == _euler_phi(d):
+        return (phi,)
+    divisors = (c for c in range((1 << k) | 1, 2 << k, 2) if _mod_int(phi, c) == 0)
+    return tuple(islice(divisors, _euler_phi(d) // k))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def factor_xn_minus_1(n: int) -> Factorization:
     """Factor x^N - 1 for the supported period families.
+
+    x^N - 1 = prod over d | m of Phi_d^(2^a) for N = m * 2^a, m odd: the factors
+    come level by level in increasing d, each split by _cyclotomic_factors.
 
     Supported: N < 2^32 whose odd part has only primes p < 2^16, with 2 a
     primitive root mod every prime power p^j dividing it, and whose
@@ -499,17 +494,10 @@ def factor_xn_minus_1(n: int) -> Factorization:
     if gap is not None:
         raise UnsupportedPeriod(n, gap)
     m, two_part = _split_period(n)
-    alpha = 1 << two_part
-    levels = [[0b11]]
-    for d in _divisors(m)[1:]:
-        fac_d = _factorize(d)
-        if len(fac_d) == 1:
-            (p, j), = fac_d.items()
-            levels.append([_prime_power_level_poly(p, j)])
-        else:
-            levels.append(_cyclotomic_cross_factors(d))
     factors = tuple(
-        FactorPower(Poly2(q), alpha, two_part) for level in levels for q in level
+        FactorPower(Poly2(q), 1 << two_part, two_part)
+        for d in _divisors(m)
+        for q in _cyclotomic_factors(d)
     )
     fac = Factorization(n, factors)
     fac.validate()

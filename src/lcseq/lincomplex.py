@@ -41,8 +41,8 @@ from .gf2poly import (
     UnsupportedPeriod,
     X_PLUS_1,
     _CACHE_SIZE,
+    _cyclotomic_factors,
     _factorize,
-    _prime_power_level_poly,
     _split_period,
     _support_gap,
     all_ones,
@@ -415,7 +415,8 @@ def lc_odd_prime_power(
         test_mask = (1 << ((p - 1) * step)) - 1
         r = ((bits >> step) ^ bits) & test_mask
         meter.xor_ops += (p - 1) * step
-        level_poly = Poly2(_prime_power_level_poly(p, n - m + 1))
+        # the support gate makes the level Phi_{p^j} irreducible: one factor
+        level_poly = Poly2(_cyclotomic_factors(p ** (n - m + 1))[0])
         if r == 0:
             bits &= (1 << step) - 1
             deltas.append((level_poly, 0))

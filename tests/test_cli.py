@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from lcseq.cli import main
+from lcseq.cli import main, make_report
+from lcseq.cyclicseq import CyclicSeq, OpMeter
+from lcseq.gf2poly import Poly2
+from lcseq.lincomplex import TAG_ODD_PRIME_POWER, violates_bound
+from lcseq.oracle import LcResult
 
 
 def run(capsys, *argv):
@@ -83,8 +87,26 @@ def test_compute_malformed_input_exit_2(capsys):
     assert code == 2  # missing --poly
     code, out, err = run(capsys, "compute", "--seq", "111", "--algorithm", "ppp", "--poly", "1x")
     assert code == 2 and err  # malformed --poly
+    for poly in ("0", "1", "011", "101"):  # constant or reducible --poly
+        code, out, err = run(
+            capsys, "compute", "--seq", "0101", "--algorithm", "ppp", "--poly", poly
+        )
+        assert code == 2 and "not irreducible" in err and not out, poly
     code, out, err = run(capsys, "compute")
     assert code == 2  # neither --seq nor --in
+
+
+def test_report_within_bound_is_violates_bound():
+    # odd prime powers are bounded by 2N data ops plus one counter per
+    # level: a run with 2N + 1 data ops and no counter stays under the
+    # summed bound 2N + n but breaks the paper's split bound
+    s = CyclicSeq(0, 9)
+    meter = OpMeter(xor_ops=2 * 9 + 1)
+    res = LcResult(0, TAG_ODD_PRIME_POWER, meter, min_poly=Poly2(1))
+    rep = make_report(s, "bits", res, 0)
+    assert rep["ops"]["total"] <= rep["bound"] == 20
+    assert violates_bound(TAG_ODD_PRIME_POWER, 9, meter)
+    assert rep["within_bound"] is False
 
 
 def test_compute_unsupported_exit_3(capsys):
@@ -273,6 +295,30 @@ def test_verify_flag_validation(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error" in err and not out, argv
+
+
+def test_composite_family_runs_out(capsys):
+    # the support rule admits 8 OddComposite lengths (15 ... 585)
+    for command in ("verify", "bench"):
+        code, out, err = run(
+            capsys, command, "--family", "composite", "--n-max", "9", "--trials", "1"
+        )
+        assert code == 2 and "only 8 lengths" in err and not out, command
+    rep = run_json(capsys, "verify", "--family", "composite", "--n-max", "8", "--trials", "1")
+    assert rep["lengths"] == [15, 33, 39, 45, 65, 117, 195, 585]
+    rows = run_json(capsys, "bench", "--family", "composite", "--n-max", "8", "--trials", "1")
+    assert rows[-1]["N"] == 585
+
+
+def test_campaign_length_cap_exit_2(capsys):
+    # each would first draw a sequence of 2^21, 3^13 or 10^12 bits
+    for argv in (
+        ("bench", "--family", "pow2", "--n-max", "60"),
+        ("verify", "--family", "p^n", "--n-max", "30"),
+        ("verify", "--n", str(10**12)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "exceeds the cap of 2^20 bits" in err and not out, argv
 
 
 # ---------------------------------------------------------------------------

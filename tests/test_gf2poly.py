@@ -1,3 +1,6 @@
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +127,14 @@ def test_factor_unsupported():
         factor_xn_minus_1(21)
 
 
+@functools.cache
+def _level_shape(d):
+    """(phi(d) / ord_d(2), ord_d(2)): count and degree of Phi_d's factors."""
+    order = next(k for k in range(1, d + 1) if pow(2, k, d) == 1 % d)
+    phi = sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+    return phi // order, order
+
+
 def test_factor_product_check_all_supported_lengths():
     # multiplying out reproduces x^N - 1 exactly for every supported N <= 4096
     supported = 0
@@ -139,6 +150,16 @@ def test_factor_product_check_all_supported_lengths():
             # the support gate promises irreducible levels without testing them
             assert f.poly.degree > DEGREE_CAP or is_irreducible(f.poly), (n, f.poly)
         assert prod == x_pow_n_minus_1(n), n
+        # level by level in increasing d | odd part, ascending bits within a
+        # level: the order of a report's deltas
+        odd = n >> ((n & -n).bit_length() - 1)
+        rest = [f.poly.bits for f in fac.factors]
+        for d in [d for d in range(1, odd + 1) if odd % d == 0]:
+            count, degree = _level_shape(d)
+            level, rest = rest[:count], rest[count:]
+            assert [q.bit_length() - 1 for q in level] == [degree] * count, (n, d)
+            assert level == sorted(set(level)), (n, d)
+        assert rest == [], n
     assert supported > 100  # the families are not trivially empty
 
 

@@ -471,6 +471,7 @@ def test_caches_are_bounded():
     for cached in (
         choose_algorithm,
         factor_xn_minus_1,
+        gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
         gf2poly._is_irreducible_int,
     ):
