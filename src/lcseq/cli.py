@@ -128,9 +128,10 @@ def _run_algorithm(name: str, s: CyclicSeq, poly_arg: str | None) -> LcResult:
             raise _UsageError("--algorithm ppp requires --poly")
         try:
             f = Poly2.from_bits_str(poly_arg)
+            irreducible = f.degree >= 1 and is_irreducible(f)  # DegreeCapExceeded above 24
         except ValueError as exc:
             raise _UsageError(str(exc))
-        if f.degree < 1 or not is_irreducible(f):
+        if not irreducible:
             raise _UsageError(f"{f.to_human()} is not irreducible")
         return ppp(f, s)[1]
     if name == "fast":

@@ -452,18 +452,22 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
     """The irreducible factors of Phi_d over GF(2), as raw bits in increasing order.
 
     Phi_d(x) = Phi_r(x^(d/r)) with r the product of d's distinct primes, and
-    Phi_r = (x^r - 1) / lcm over primes p | r of (x^(r/p) - 1).  Every
+    Phi_r = (x^r - 1) / lcm over primes p | r of (x^(r/p) - 1), which is
+    the all-ones polynomial when r is a single prime.  Every
     irreducible factor of Phi_d has degree k = ord_d(2), so Phi_d is itself
     irreducible when k = phi(d); otherwise any degree-k divisor of Phi_d is
     one of its phi(d)/k factors, and each is found by one exact division.
     """
     primes = _factorize(d)
     r = math.prod(primes)
-    den = 1
-    for p in primes:
-        b = (1 << (r // p)) | 1
-        den = _divrem_int(_mul_int(den, b), _gcd_int(den, b))[0]
-    phi_r = _divrem_int((1 << r) | 1, den)[0]
+    if len(primes) == 1:
+        phi_r = (1 << r) - 1
+    else:
+        den = 1
+        for p in primes:
+            b = (1 << (r // p)) | 1
+            den = _divrem_int(_mul_int(den, b), _gcd_int(den, b))[0]
+        phi_r = _divrem_int((1 << r) | 1, den)[0]
     phi = int(("0" * (d // r - 1)).join(format(phi_r, "b")), 2)
     k = _mult_order(2, d)
     if k == _euler_phi(d):

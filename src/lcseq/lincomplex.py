@@ -17,6 +17,10 @@ machine-independent bit-operation meter:
 * ``bound_for`` /
   ``violates_bound``        the paper's operation bound per algorithm tag
 
+Every descent is one Games-Chan halving loop on blocks: of 1 bit for
+Games-Chan, of exponent(f) bits for ``ppp``, and of d bits for each
+cyclotomic level Phi_d, which the general engine projects out of the input.
+
 The p * 2^n engine runs the two-phase search (first the exponent of the
 all-ones factor with the halving descent, then Games-Chan for the x+1
 exponent) on a compact state: a sequence st of length p * 2^l standing for
@@ -31,7 +35,7 @@ branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 from .cyclicseq import CyclicSeq, OpMeter, apply_poly_pow2, is_zero
@@ -42,7 +46,10 @@ from .gf2poly import (
     X_PLUS_1,
     _CACHE_SIZE,
     _cyclotomic_factors,
+    _divisors,
+    _divrem_int,
     _factorize,
+    _mul_int,
     _split_period,
     _support_gap,
     all_ones,
@@ -96,39 +103,43 @@ class NotGeneratedBy(ValueError):
 # Games-Chan
 
 
-def _gc_int(bits: int, length: int, meter: OpMeter, fresh: bool) -> int:
-    """Games-Chan halving on a power-of-two length, metered.
+def _gc_int(bits: int, length: int, meter: OpMeter, fresh: bool, block: int = 1) -> int:
+    """Games-Chan halving on block * 2^n bits, metered; returns the exponent.
 
-    ``fresh`` marks bits that were just produced by charged XORs, whose one
-    deferred zero-test is free.  Each halving charges its output length;
-    the final bit costs one stored-bit read unless it is the product of a
-    nonzero branch.
+    The bits lie in the q^(2^n) component of one irreducible q dividing
+    x^block - 1 (q = x+1 for block 1).  ``fresh`` marks bits that were just
+    produced by charged XORs, whose one deferred zero-test is free.  Each
+    halving charges its output length; the final block costs ``block``
+    stored-bit reads unless it is the product of a nonzero branch.
     """
     c = 0
-    iterations = 0
-    last_nonzero = False
-    while length > 1:
+    while length > block:
         h = length >> 1
         b = ((bits >> h) ^ bits) & ((1 << h) - 1)
         meter.xor_ops += h
-        iterations += 1
-        if b:
+        fresh = b != 0
+        if fresh:
             bits = b
-            c += h
+            c += h // block
             meter.counter_ops += 1
-            last_nonzero = True
         else:
             bits &= (1 << h) - 1
-            last_nonzero = False
         length = h
-    if iterations == 0:
-        if not fresh:
-            meter.cmp_ops += 1
-    elif not last_nonzero:
-        meter.cmp_ops += 1
+    if not fresh:
+        meter.cmp_ops += block
     if bits:
         c += 1
     return c
+
+
+def _fold(bits: int, width: int, count: int) -> int:
+    """XOR of the ``count`` consecutive ``width``-bit blocks of bits < 2^(width * count),
+    folding the upper half of the blocks onto the lower half each round."""
+    while count > 1:
+        low = (count - (count >> 1)) * width
+        bits = (bits & ((1 << low) - 1)) ^ (bits >> low)
+        count -= count >> 1
+    return bits
 
 
 def games_chan(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
@@ -145,16 +156,15 @@ def games_chan(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
 
 
 def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcResult]:
-    """Minimal m with f(E)^m s = 0 for irreducible f, by binary halving.
+    """Minimal m with f(E)^m s = 0 for irreducible f, by Games-Chan on e-bit blocks.
 
-    The input length must be exponent(f) * 2^n; the sequence must be
-    generated by f^(2^n), which is checked up front.
+    The input length must be e * 2^n with e = exponent(f); the sequence
+    must be generated by f^(2^n), which is checked up front.
     """
     if not is_irreducible(f):
         raise ValueError(f"{f!r} is reducible")
     meter = meter if meter is not None else OpMeter()
     e = exponent(f)
-    k = f.degree
     if s.n % e:
         raise UnsupportedPeriod(s.n, f"length is not exponent({f.to_human()}) * 2^n")
     q = s.n // e
@@ -165,44 +175,50 @@ def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcRe
         return 0, LcResult(0, TAG_PPP, meter, deltas=((f, 0),))
     if not is_zero(apply_poly_pow2(f, n, s, meter), meter, fused=True):
         raise NotGeneratedBy(f"sequence is not generated by ({f.to_human()})^{1 << n}")
-    cur = s
-    m_acc = 0
-    for j in range(1, n + 1):
-        img = apply_poly_pow2(f, n - j, cur, meter)
-        half = cur.n >> 1
-        if is_zero(img, meter, fused=True):
-            cur = CyclicSeq(cur.bits & ((1 << half) - 1), half)
-        else:
-            # the image is generated by f^(2^(n-j)), so its period divides half
-            cur = CyclicSeq(img.bits & ((1 << half) - 1), half)
-            m_acc += 1 << (n - j)
-            meter.counter_ops += 1
-    m = m_acc + 1
-    return m, LcResult(k * m, TAG_PPP, meter, deltas=((f, m),))
+    m = _gc_int(s.bits, s.n, meter, False, e)
+    return m, LcResult(f.degree * m, TAG_PPP, meter, deltas=((f, m),))
 
 
 # ---------------------------------------------------------------------------
-# the general method: per-factor exponent extraction
+# the general method: one block descent per cyclotomic level
 
 
-def _find_delta_only(
-    s: CyclicSeq, fac: Factorization, target_index: int, meter: OpMeter
-) -> int:
-    q_t, _, gamma_t = fac.factors[target_index]
-    r = s
-    for i, (q, _, gamma) in enumerate(fac.factors):
-        if i != target_index:
-            r = apply_poly_pow2(q, gamma, r, meter)
-    if is_zero(r, meter, fused=True):
-        return 0
-    delta = 0
-    for j in range(1, gamma_t + 1):
-        a = apply_poly_pow2(q_t, gamma_t - j, r, meter)
-        if not is_zero(a, meter, fused=True):
-            r = a
-            delta += 1 << (gamma_t - j)
-            meter.counter_ops += 1
-    return delta + 1
+@lru_cache(maxsize=_CACHE_SIZE)
+def _level_cofactors(d: int) -> tuple[tuple[Poly2, Poly2 | None], ...]:
+    """Each irreducible factor q of Phi_d with its cofactor Phi_d / q, None if q = Phi_d."""
+    factors = _cyclotomic_factors(d)
+    if len(factors) == 1:
+        return ((Poly2(factors[0]), None),)
+    phi = reduce(_mul_int, factors)
+    return tuple((Poly2(q), Poly2(_divrem_int(phi, q)[0])) for q in factors)
+
+
+def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]:
+    """Each irreducible factor of x^N - 1 with its exponent in the minimal polynomial.
+
+    For N = m * 2^t, m odd, and each d | m in increasing order, at width
+    d * 2^t: the fold multiplies s by ((x^m - 1)/(x^d - 1))^(2^t), which
+    kills the levels Phi_d' with d' not dividing d and is 1 modulo x^d - 1;
+    adding the rotation by width/p for each prime p | d kills the levels
+    below Phi_d and is a unit on it; the cofactor (Phi_d/q)^(2^t) isolates
+    the factor q.  Games-Chan on d-bit blocks then reads q's exponent.
+    """
+    m, t = _split_period(s.n)
+    deltas = []
+    for d in _divisors(m):
+        width = d << t
+        y = _fold(s.bits, width, m // d)
+        meter.xor_ops += s.n - width
+        for p in _factorize(d):
+            j = width // p
+            y ^= ((y >> j) | (y << (width - j))) & ((1 << width) - 1)
+            meter.xor_ops += width
+        for q, cofactor in _level_cofactors(d):
+            z = y
+            if cofactor is not None:
+                z = apply_poly_pow2(cofactor, t, CyclicSeq(y, width), meter).bits
+            deltas.append((q, _gc_int(z, width, meter, True, d) if z else 0))
+    return tuple(deltas)
 
 
 def find_delta(
@@ -213,31 +229,20 @@ def find_delta(
 ) -> tuple[int, CyclicSeq]:
     """Exact exponent of one irreducible factor in the minimal polynomial.
 
-    All other factors are first saturated to their power-of-two ceilings,
-    which leaves a sequence in the target factor's family; a binary descent
-    on the target exponent then locates delta.  Returns the exponent and
-    the target-annihilated image of the input for reuse.
+    The level engine finds it with all the others.  Returns the exponent
+    and the target-annihilated image of the input for reuse.
     """
     meter = meter if meter is not None else OpMeter()
-    delta = _find_delta_only(s, fac, target_index, meter)
-    if delta == 0:
-        return 0, s
     q_t = fac.factors[target_index].poly
-    residual = s
-    rem = delta
-    power = 0
-    while rem:
-        if rem & 1:
-            residual = apply_poly_pow2(q_t, power, residual, meter)
-        rem >>= 1
-        power += 1
-    return delta, residual
+    delta = dict(_level_deltas(s, meter))[q_t]
+    for power in range(delta.bit_length()):
+        if delta >> power & 1:
+            s = apply_poly_pow2(q_t, power, s, meter)
+    return delta, s
 
 
-def _general_engine(s: CyclicSeq, fac: Factorization, meter: OpMeter, tag: str) -> LcResult:
-    deltas = tuple(
-        (fp.poly, _find_delta_only(s, fac, i, meter)) for i, fp in enumerate(fac.factors)
-    )
+def _general_engine(s: CyclicSeq, meter: OpMeter, tag: str) -> LcResult:
+    deltas = _level_deltas(s, meter)
     complexity = sum(q.degree * d for q, d in deltas)
     return LcResult(complexity, tag, meter, deltas=deltas)
 
@@ -245,15 +250,15 @@ def _general_engine(s: CyclicSeq, fac: Factorization, meter: OpMeter, tag: str) 
 def min_poly_general(
     s: CyclicSeq, fac: Factorization, meter: OpMeter | None = None
 ) -> LcResult:
-    """Assemble the full minimal polynomial factor by factor.
+    """Assemble the full minimal polynomial level by level.
 
-    For each target factor the others are re-saturated per the power-of-two
-    ceiling argument; every target is independent, so the order is free.
+    Each cyclotomic level of x^N - 1 is projected out of the input, and a
+    block Games-Chan descent reads the exponent of each of its factors.
     """
     if fac.modulus_degree != s.n:
         raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, fac, meter, TAG_GENERAL)
+    return _general_engine(s, meter, TAG_GENERAL)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +347,7 @@ def _px2n_engine(p: int, bits: int, n: int, meter: OpMeter) -> tuple[int, int]:
             meter.counter_ops += 1
             j = blk + _gc_int(h, blk, meter, fresh=True)
         else:
-            left = 0
-            for piece in range(p):
-                left ^= bits >> (piece << n)
-            left &= (1 << blk) - 1
+            left = _fold(bits, 1 << n, p) & ((1 << blk) - 1)
             meter.xor_ops += (p - 1) * blk
             j = _gc_int(left, blk, meter, fresh=True)
     return i, j
@@ -424,10 +426,7 @@ def lc_odd_prime_power(
         else:
             c += (p - 1) * step
             meter.counter_ops += 1
-            acc = 0
-            for jj in range(p):
-                acc ^= bits >> (jj * step)
-            bits = acc & ((1 << step) - 1)
+            bits = _fold(bits, step, p)
             meter.xor_ops += (p - 1) * step
             deltas.append((level_poly, 1))
             last_fresh = True
@@ -444,13 +443,13 @@ def lc_odd_prime_power(
 def lc_odd_composite(
     primes: list[tuple[int, int]], s: CyclicSeq, meter: OpMeter | None = None
 ) -> LcResult:
-    """Odd N = prod p_i^(n_i): factor-by-factor extraction over the
-    factorization of x^N - 1."""
+    """Odd N = prod p_i^(n_i): the level engine over the cyclotomic levels
+    of x^N - 1."""
     if s.n % 2 == 0 or sorted(map(tuple, primes)) != sorted(_factorize(s.n).items()):
         raise UnsupportedPeriod(s.n, "prime list does not match an odd length")
-    fac = factor_xn_minus_1(s.n)
+    factor_xn_minus_1(s.n)  # raises UnsupportedPeriod outside the supported families
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, fac, meter, TAG_ODD_COMPOSITE)
+    return _general_engine(s, meter, TAG_ODD_COMPOSITE)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from lcseq.gf2poly import (
     DegreeCapExceeded,
     Poly2,
     UnsupportedPeriod,
+    _cyclotomic_factors,
     add,
     divrem,
     exponent,
@@ -113,6 +114,8 @@ def test_factor_9():
     fac = factor_xn_minus_1(9)
     got = {(f.poly.to_human(), f.multiplicity) for f in fac.factors}
     assert got == {("x+1", 1), ("x^2+x+1", 1), ("x^6+x^3+1", 1)}
+    # a prime level Phi_p is the all-ones polynomial, with no division
+    assert _cyclotomic_factors(65371) == ((1 << 65371) - 1,)
 
 
 def test_factor_8():

@@ -22,6 +22,8 @@ from lcseq.lincomplex import (
     TAG_ODD_COMPOSITE,
     TAG_ODD_PRIME_POWER,
     TAG_ORACLE_FALLBACK,
+    _fold,
+    _level_cofactors,
     choose_algorithm,
     find_delta,
     games_chan,
@@ -112,20 +114,19 @@ def test_ppp_zero_sequence():
 
 
 def test_ppp_general_irreducible():
-    # non-primitive irreducible: x^4+x^3+x^2+x+1 with exponent 5
-    q = P("11111")
+    # (x^e - 1)/f, raised to 2^n, projects onto the sequences f^(2^n)
+    # generates; 11111 and 11001 are not primitive
     rng = SplitMix64(3)
-    for n_pow in (0, 1, 2):
-        n = 5 << n_pow
-        for _ in range(60):
-            s = CyclicSeq(rng.getrandbits(n), n)
-            sat = apply_poly_pow2(P("11"), n_pow, s)  # remove the x+1 part
-            # saturating x+1 leaves a q-power generated sequence
-            expect = gcd_method(sat)
-            if sat.bits == 0:
-                continue
-            m, r = ppp(q, sat)
-            assert r.key() == expect.key()
+    for f in map(P, ("11", "111", "1101", "1011", "11111", "11001")):
+        e = gf2poly.exponent(f)
+        cofactor = x_pow_n_minus_1(e) // f
+        for n_pow in range(4):
+            n = e << n_pow
+            for _ in range(20):
+                s = apply_poly_pow2(cofactor, n_pow, CyclicSeq(rng.getrandbits(n), n))
+                m, r = ppp(f, s)
+                assert r.key() == gcd_method(s).key(), (f, n, s)
+                assert r.complexity == f.degree * m
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,60 @@ def test_min_poly_general_matches_oracles_exhaustive():
         for bits in range(1 << n):
             s = CyclicSeq(bits, n)
             assert min_poly_general(s, fac).key() == gcd_method(s).key(), (n, bits)
+
+
+def test_fold_matches_naive_xor():
+    rng = SplitMix64(17)
+    for width in (1, 3, 64, 65):
+        for count in (1, 2, 3, 5, 7, 585):
+            bits = rng.getrandbits(width * count)
+            naive = 0
+            for k in range(count):
+                naive ^= (bits >> (k * width)) & ((1 << width) - 1)
+            assert _fold(bits, width, count) == naive, (width, count)
+
+
+def _level_engine_lengths():
+    tags = (TAG_GENERAL, TAG_ODD_COMPOSITE)
+    return [n for n in range(1, 3000) if choose_algorithm(n).tag in tags]
+
+
+def _level_engine_inputs(n, rng, randoms):
+    return [CyclicSeq(0, n), CyclicSeq((1 << n) - 1, n)] + [
+        CyclicSeq(rng.getrandbits(n), n) for _ in range(randoms)
+    ]
+
+
+def test_level_engine_matches_oracles_below_3000():
+    rng = SplitMix64(23)
+    lengths = _level_engine_lengths()
+    assert len(lengths) == 197
+    for n in lengths:
+        for s in _level_engine_inputs(n, rng, 4):
+            want = gcd_method(s).key()
+            assert solve(s).key() == want == berlekamp_massey(s).key(), (n, s.bits)
+
+
+def test_level_engine_bound_on_irreducible_levels():
+    # with m an odd prime power every level Phi_d is irreducible; each d | m
+    # costs at most N - width (fold) + omega(d) * width (rotations)
+    # + width - d (halvings) + t (counters) + d (final read)
+    rng = SplitMix64(29)
+    checked = 0
+    for n in _level_engine_lengths():
+        m, t = gf2poly._split_period(n)
+        if len(gf2poly._factorize(m)) > 1:
+            continue
+        divisors = gf2poly._divisors(m)
+        bound = len(divisors) * (n + t) + (1 << t) * sum(
+            len(gf2poly._factorize(d)) * d for d in divisors
+        )
+        for s in _level_engine_inputs(n, rng, 20):
+            meter = OpMeter()
+            solve(s, meter)
+            assert meter.total() <= bound, (n, s.bits)
+            checked += 1
+    assert checked == 150 * 22
 
 
 def _delta_after_saturation(s, fac, t, exponents):
@@ -471,6 +526,7 @@ def test_caches_are_bounded():
     for cached in (
         choose_algorithm,
         factor_xn_minus_1,
+        _level_cofactors,
         gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
         gf2poly._is_irreducible_int,
