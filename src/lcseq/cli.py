@@ -210,6 +210,8 @@ def _check_one(s: CyclicSeq) -> tuple[bool, bool, LcResult]:
 def cmd_verify(args) -> int:
     if (args.n is None) == (args.family is None):
         raise _UsageError("exactly one of --n and --family is required")
+    if args.exhaustive and args.n is None:
+        raise _UsageError("--exhaustive needs --n")
     checked = 0
     mismatches = 0
     mismatch_examples: list[str] = []
@@ -306,9 +308,10 @@ def cmd_bench(args) -> int:
 def cmd_enumerate(args) -> int:
     try:
         f = Poly2.from_bits_str(args.poly)
+        primitive = f.degree >= 1 and is_primitive(f)  # DegreeCapExceeded above 24
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if f.degree < 1 or not is_primitive(f):
+    if not primitive:
         raise _UsageError(f"{f.to_human()} is not primitive")
     k = f.degree
     if k * args.max_power > 20:

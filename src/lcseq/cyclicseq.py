@@ -132,14 +132,6 @@ class OpMeter:
         return f"OpMeter(xor={self.xor_ops}, cmp={self.cmp_ops}, counter={self.counter_ops})"
 
 
-def _rotations_xor(bits: int, n: int, shifts) -> int:
-    mask = (1 << n) - 1
-    out = 0
-    for j in shifts:
-        out ^= (bits >> j) | (bits << (n - j)) if j else bits
-    return out & mask
-
-
 def apply_poly(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> CyclicSeq:
     """Evaluate f(E)s cyclically: t_i = XOR of s_{i+j} over the set bits j of f.
 
@@ -158,20 +150,18 @@ def apply_poly_pow2(f: Poly2, m: int, s: CyclicSeq, meter: OpMeter | None = None
         raise ValueError("zero polynomial cannot be applied")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    n = s.n
-    stride = 1 << m
-    # exponents wrap (E^n is the identity); equal shifts cancel in pairs
-    parity: dict[int, int] = {}
+    n, bits = s.n, s.bits
+    out = 0
     b = f.bits
+    # exponents wrap (E^n is the identity); equal shifts cancel in the XOR
     while b:
         low = b & -b
-        j = ((low.bit_length() - 1) * stride) % n
-        parity[j] = parity.get(j, 0) ^ 1
+        j = ((low.bit_length() - 1) << m) % n
+        out ^= (bits >> j) | (bits << (n - j))
         b ^= low
-    shifts = [j for j, keep in parity.items() if keep]
     if meter is not None:
         meter.xor_ops += (f.weight - 1) * n
-    return CyclicSeq(_rotations_xor(s.bits, n, shifts), n)
+    return CyclicSeq(out & ((1 << n) - 1), n)
 
 
 def is_zero(s: CyclicSeq, meter: OpMeter | None = None, fused: bool = True) -> bool:

@@ -17,9 +17,10 @@ machine-independent bit-operation meter:
 * ``bound_for`` /
   ``violates_bound``        the paper's operation bound per algorithm tag
 
-Every descent is one Games-Chan halving loop on blocks: of 1 bit for
-Games-Chan, of exponent(f) bits for ``ppp``, and of d bits for each
-cyclotomic level Phi_d, which the general engine projects out of the input.
+Every descent is one Games-Chan loop on blocks: halving on blocks of 1 bit
+for Games-Chan, of exponent(f) bits for ``ppp``, and of d bits for each
+cyclotomic level Phi_d, which the general engine projects out of the input;
+and, for N = p^n, dividing by p on 1-bit blocks (radix p).
 
 The p * 2^n engine runs the two-phase search (first the exponent of the
 all-ones factor with the halving descent, then Games-Chan for the x+1
@@ -103,28 +104,39 @@ class NotGeneratedBy(ValueError):
 # Games-Chan
 
 
-def _gc_int(bits: int, length: int, meter: OpMeter, fresh: bool, block: int = 1) -> int:
-    """Games-Chan halving on block * 2^n bits, metered; returns the exponent.
+def _gc_int(
+    bits: int, length: int, meter: OpMeter, fresh: bool, block: int = 1, radix: int = 2
+) -> int:
+    """Games-Chan descent on block * radix^n bits, metered; returns the exponent.
 
-    The bits lie in the q^(2^n) component of one irreducible q dividing
-    x^block - 1 (q = x+1 for block 1).  ``fresh`` marks bits that were just
-    produced by charged XORs, whose one deferred zero-test is free.  Each
-    halving charges its output length; the final block costs ``block``
+    Each step tests (E^step - 1)s, step = length / radix, on its first
+    length - step bits.  A zero keeps the first step bits; a nonzero adds
+    (length - step) / block and keeps the sum of the radix blocks, which
+    for radix 2 is the tested difference and otherwise costs another
+    length - step XORs (the p-ary descent of Xiao, Wei, Lam & Imamura on
+    x^(p^n) - 1 with block 1).  For radix 2 the bits lie in the q^(2^n)
+    component of one irreducible q dividing x^block - 1 (q = x+1 for block
+    1).  ``fresh`` marks bits that were just produced by charged XORs,
+    whose one deferred zero-test is free; the final block costs ``block``
     stored-bit reads unless it is the product of a nonzero branch.
     """
     c = 0
     while length > block:
-        h = length >> 1
-        b = ((bits >> h) ^ bits) & ((1 << h) - 1)
+        step = length // radix
+        h = length - step
+        b = ((bits >> step) ^ bits) & ((1 << h) - 1)
         meter.xor_ops += h
         fresh = b != 0
         if fresh:
-            bits = b
             c += h // block
             meter.counter_ops += 1
+            if radix > 2:
+                b = _fold(bits, step, radix)
+                meter.xor_ops += h
+            bits = b
         else:
-            bits &= (1 << h) - 1
-        length = h
+            bits &= (1 << step) - 1
+        length = step
     if not fresh:
         meter.cmp_ops += block
     if bits:
@@ -397,47 +409,26 @@ def lc_px2n(p: int, s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
 def lc_odd_prime_power(
     p: int, n: int, s: CyclicSeq, meter: OpMeter | None = None
 ) -> LcResult:
-    """Level-by-level descent for N = p^n; 2N data operations plus counters.
+    """Games-Chan's descent with radix p for N = p^n; 2N data operations plus counters.
 
-    Each iteration checks whether the current period drops by a factor p
+    Each step checks whether the current period drops by a factor p
     (reading (p-1) * p^(n-m) freshly formed difference bits suffices) and,
-    if not, strips the corresponding level polynomial.
+    if not, adds the level's degree and sums the p blocks.
     """
     # choose_algorithm sets p for an odd length only when it is a supported
     # prime power (or a supported prime, dispatched to a p * 2^n family)
     if s.n != p**n or choose_algorithm(s.n).p != p:
         raise UnsupportedPeriod(s.n, f"length is not {p}^{n} for a supported prime p")
     meter = meter if meter is not None else OpMeter()
-    bits = s.bits
-    c = 0
-    deltas: list[tuple[Poly2, int]] = []
-    last_fresh = False
-    for m in range(1, n + 1):
-        step = p ** (n - m)
-        test_mask = (1 << ((p - 1) * step)) - 1
-        r = ((bits >> step) ^ bits) & test_mask
-        meter.xor_ops += (p - 1) * step
-        # the support gate makes the level Phi_{p^j} irreducible: one factor
-        level_poly = Poly2(_cyclotomic_factors(p ** (n - m + 1))[0])
-        if r == 0:
-            bits &= (1 << step) - 1
-            deltas.append((level_poly, 0))
-            last_fresh = False
-        else:
-            c += (p - 1) * step
-            meter.counter_ops += 1
-            bits = _fold(bits, step, p)
-            meter.xor_ops += (p - 1) * step
-            deltas.append((level_poly, 1))
-            last_fresh = True
-    if not last_fresh:
-        meter.cmp_ops += 1
-    if bits:
-        c += 1
-        deltas.append((X_PLUS_1, 1))
-    else:
-        deltas.append((X_PLUS_1, 0))
-    return LcResult(c, TAG_ODD_PRIME_POWER, meter, deltas=tuple(reversed(deltas)))
+    c = _gc_int(s.bits, s.n, meter, False, 1, p)
+    # x^(p^n) - 1 is squarefree and its level degrees 1, (p-1), (p-1)p, ...
+    # are distinct base-p places of c / (p-1): x+1 is the remainder and
+    # Phi_{p^j} is digit j-1, each level irreducible by the support gate
+    digits, top = divmod(c, p - 1)
+    levels = tuple(
+        (Poly2(_cyclotomic_factors(p**j)[0]), digits // p ** (j - 1) % p) for j in range(1, n + 1)
+    )
+    return LcResult(c, TAG_ODD_PRIME_POWER, meter, deltas=((X_PLUS_1, top),) + levels)
 
 
 def lc_odd_composite(

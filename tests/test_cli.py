@@ -295,6 +295,10 @@ def test_verify_flag_validation(capsys):
         ("bench", "--family", "pow2", "--trials", "0"),
         ("bench", "--family", "pow2", "--n-max", "0"),
         ("enumerate", "--poly", "111", "--max-power", "0"),
+        # above the irreducibility cap of degree 24
+        ("enumerate", "--poly", "1" + "0" * 24 + "1", "--max-power", "1"),
+        # an exhaustive run covers one length; a family run is seeded
+        ("verify", "--family", "pow2", "--exhaustive", "--n-max", "2", "--trials", "3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error" in err and not out, argv

@@ -54,6 +54,14 @@ def test_apply_poly_pow2_examples():
 
     assert apply_poly_pow2(P("11"), 0, S("011")) == S("101")
 
+    # shifts that coincide mod n cancel: f(E^4) on 4 bits is weight(f) copies of s
+    meter = OpMeter()
+    assert apply_poly_pow2(P("111"), 2, S("0110"), meter) == S("0110")
+    assert meter.xor_ops == 8
+    meter = OpMeter()
+    assert apply_poly_pow2(P("11"), 2, S("0110"), meter) == S("0000")
+    assert meter.xor_ops == 4
+
 
 @settings(max_examples=100)
 @given(
@@ -70,6 +78,13 @@ def test_apply_poly_pow2_matches_iterated_squaring(f, m, n, data):
     for _ in range(m):
         g = g * g
     assert fast == apply_poly(g, s)
+    # the definition: t_i = XOR over the set bits j of f of s_((i + j * 2^m) mod n)
+    js = [j for j in range(f.bits.bit_length()) if f.bits >> j & 1]
+    t = [0] * n
+    for i in range(n):
+        for j in js:
+            t[i] ^= bits >> ((i + (j << m)) % n) & 1
+    assert fast == CyclicSeq.from_list(t)
 
 
 def test_is_zero_metering_policy():

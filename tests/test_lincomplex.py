@@ -34,6 +34,7 @@ from lcseq.lincomplex import (
     min_poly_general,
     ppp,
     solve,
+    violates_bound,
 )
 from lcseq.oracle import berlekamp_massey, gcd_method
 
@@ -458,6 +459,28 @@ def test_lc_odd_prime_power_larger():
             assert r.key() == gcd_method(s).key()
             assert meter.xor_ops + meter.cmp_ops <= 2 * n
             assert meter.counter_ops <= k
+
+
+def test_lc_odd_prime_power_structured_inputs():
+    # inputs of every period p^j, so each level's test meets zero and nonzero
+    # differences and the delta decoding reads zero digits at every place
+    rng = SplitMix64(61)
+    lengths = [n for n in range(3, 3000, 2) if choose_algorithm(n).tag == TAG_ODD_PRIME_POWER]
+    for n in lengths + [5**5]:
+        choice = choose_algorithm(n)
+        inputs = [0, (1 << n) - 1]
+        for j in range(1, choice.n + 1):
+            w = choice.p**j
+            repunit = ((1 << n) - 1) // ((1 << w) - 1)
+            inputs += [rng.getrandbits(w) * repunit for _ in range(2)]
+        for bits in inputs:
+            s = CyclicSeq(bits, n)
+            r = solve(s)
+            assert r.algorithm == TAG_ODD_PRIME_POWER
+            assert r.key() == gcd_method(s).key(), (n, bits)
+            assert all(d in (0, 1) for _, d in r.deltas), (n, bits)
+            assert sum(q.degree * d for q, d in r.deltas) == r.complexity, (n, bits)
+            assert not violates_bound(TAG_ODD_PRIME_POWER, n, r.meter), (n, bits)
 
 
 def test_lc_odd_composite_examples():
