@@ -100,7 +100,7 @@ def _read_sequence(args) -> tuple[CyclicSeq, str]:
         try:
             with open(args.infile, "r", encoding="ascii") as fh:
                 text = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {args.infile}: {exc}")
     try:
         if args.format == "bits":

@@ -36,7 +36,7 @@ branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 from .cyclicseq import CyclicSeq, OpMeter, apply_poly_pow2, is_zero
@@ -48,9 +48,7 @@ from .gf2poly import (
     _CACHE_SIZE,
     _cyclotomic_factors,
     _divisors,
-    _divrem_int,
     _factorize,
-    _mul_int,
     _split_period,
     _support_gap,
     all_ones,
@@ -195,14 +193,42 @@ def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcRe
 # the general method: one block descent per cyclotomic level
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _level_cofactors(d: int) -> tuple[tuple[Poly2, Poly2 | None], ...]:
-    """Each irreducible factor q of Phi_d with its cofactor Phi_d / q, None if q = Phi_d."""
-    factors = _cyclotomic_factors(d)
+def _subproduct_tree(factors: tuple[Poly2, ...]) -> tuple:
+    """Node (factors, product of the factors, halves) of a balanced subproduct
+    tree; halves is None for a single factor, else the (left, right) nodes."""
     if len(factors) == 1:
-        return ((Poly2(factors[0]), None),)
-    phi = reduce(_mul_int, factors)
-    return tuple((Poly2(q), Poly2(_divrem_int(phi, q)[0])) for q in factors)
+        return factors, factors[0], None
+    mid = len(factors) // 2
+    left, right = _subproduct_tree(factors[:mid]), _subproduct_tree(factors[mid:])
+    return factors, left[1] * right[1], (left, right)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _level_tree(d: int) -> tuple:
+    """Subproduct tree over the irreducible factors of Phi_d, in ascending order."""
+    return _subproduct_tree(tuple(map(Poly2, _cyclotomic_factors(d))))
+
+
+def _tree_deltas(
+    node: tuple, y: int, width: int, t: int, d: int, meter: OpMeter, deltas: list
+) -> None:
+    """Append the exponent of each factor under node, y being their joint component.
+
+    (Product of one half)^(2^t) kills that half's components of y and is a
+    unit on the other half's; a single factor's exponent is read by block
+    Games-Chan.  A zero y, a free test of fresh bits, gives every factor
+    under the node exponent 0.
+    """
+    factors, _, halves = node
+    if not y:
+        deltas.extend((q, 0) for q in factors)
+    elif halves is None:
+        deltas.append((factors[0], _gc_int(y, width, meter, True, d)))
+    else:
+        left, right = halves
+        for child, other_product in ((left, right[1]), (right, left[1])):
+            z = apply_poly_pow2(other_product, t, CyclicSeq(y, width), meter).bits
+            _tree_deltas(child, z, width, t, d, meter, deltas)
 
 
 def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]:
@@ -212,8 +238,11 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
     d * 2^t: the fold multiplies s by ((x^m - 1)/(x^d - 1))^(2^t), which
     kills the levels Phi_d' with d' not dividing d and is 1 modulo x^d - 1;
     adding the rotation by width/p for each prime p | d kills the levels
-    below Phi_d and is a unit on it; the cofactor (Phi_d/q)^(2^t) isolates
-    the factor q.  Games-Chan on d-bit blocks then reads q's exponent.
+    below Phi_d and is a unit on it.  The level's subproduct tree then
+    splits that component: at each node, the (2^t)-th power of one half's
+    product isolates the other half, so F factors take about log2(F)
+    rounds, each applying products whose degrees sum to deg Phi_d.
+    Games-Chan on d-bit blocks reads each factor's exponent.
     """
     m, t = _split_period(s.n)
     deltas = []
@@ -225,11 +254,7 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
             j = width // p
             y ^= ((y >> j) | (y << (width - j))) & ((1 << width) - 1)
             meter.xor_ops += width
-        for q, cofactor in _level_cofactors(d):
-            z = y
-            if cofactor is not None:
-                z = apply_poly_pow2(cofactor, t, CyclicSeq(y, width), meter).bits
-            deltas.append((q, _gc_int(z, width, meter, True, d) if z else 0))
+        _tree_deltas(_level_tree(d), y, width, t, d, meter, deltas)
     return tuple(deltas)
 
 
@@ -244,6 +269,8 @@ def find_delta(
     The level engine finds it with all the others.  Returns the exponent
     and the target-annihilated image of the input for reuse.
     """
+    if fac.modulus_degree != s.n:
+        raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
     q_t = fac.factors[target_index].poly
     delta = dict(_level_deltas(s, meter))[q_t]

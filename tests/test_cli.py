@@ -78,7 +78,7 @@ def test_compute_plain_output(capsys):
     assert "complexity : 1" in out
 
 
-def test_compute_malformed_input_exit_2(capsys):
+def test_compute_malformed_input_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "compute", "--seq", "10x1")
     assert code == 2 and err
     code, out, err = run(capsys, "compute", "--seq", "a1", "--format", "hex")
@@ -97,6 +97,10 @@ def test_compute_malformed_input_exit_2(capsys):
     assert code == 2 and "cap" in err and not out
     code, out, err = run(capsys, "compute")
     assert code == 2  # neither --seq nor --in
+    path = tmp_path / "seq.txt"
+    path.write_bytes(b"01\xff1\n")  # not ASCII
+    code, out, err = run(capsys, "compute", "--in", str(path))
+    assert code == 2 and "error:" in err and not out
 
 
 def test_report_within_bound_is_violates_bound():

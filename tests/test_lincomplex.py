@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -23,7 +24,7 @@ from lcseq.lincomplex import (
     TAG_ODD_PRIME_POWER,
     TAG_ORACLE_FALLBACK,
     _fold,
-    _level_cofactors,
+    _level_tree,
     choose_algorithm,
     find_delta,
     games_chan,
@@ -147,6 +148,13 @@ def test_find_delta_examples():
     d, _ = find_delta(S("1" * 12), fac12, idx12[P("11")])
     assert d == 1
 
+    # a factorization of another length is refused, whether or not the
+    # target factor also divides x^N - 1
+    s15 = S("011010001110101")
+    for other in (9, 5):
+        with pytest.raises(ValueError, match="does not match"):
+            find_delta(s15, factor_xn_minus_1(other), 2)
+
 
 def _multiplicity(minpoly: Poly2, q: Poly2) -> int:
     d = 0
@@ -247,6 +255,47 @@ def test_level_engine_bound_on_irreducible_levels():
             assert meter.total() <= bound, (n, s.bits)
             checked += 1
     assert checked == 150 * 22
+
+
+def test_level_engine_structured_reducible_levels():
+    # inputs projected onto a chosen set S of one reducible level's factors:
+    # one factor, the tree's left half, its right half, all but one.  Each
+    # leaves whole subtrees with a zero component, so the descent's zero
+    # skip runs; every factor outside S reads exponent 0, and with these
+    # seeded inputs every factor in S a nonzero one
+    rng = SplitMix64(37)
+    lengths = []
+    for n in _level_engine_lengths():
+        m, t = gf2poly._split_period(n)
+        d = max(gf2poly._divisors(m), key=lambda k: len(_level_tree(k)[0]))
+        factors, _, halves = _level_tree(d)
+        if len(factors) <= 2:
+            continue
+        lengths.append(n)
+        left, right = halves
+        xn1 = x_pow_n_minus_1(n)
+        subsets = [factors[:1], left[0], right[0], factors[1:]]
+        for subset in subsets:
+            product = math.prod(subset, start=Poly2(1))
+            s = apply_poly(xn1 // product ** (1 << t), CyclicSeq(rng.getrandbits(n), n))
+            r = solve(s)
+            assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), (n, subset)
+            assert all((e > 0) == (q in subset) for q, e in r.deltas), (n, subset)
+    assert lengths == [
+        65, 117, 130, 195, 234, 260, 390, 468, 520,
+        585, 780, 936, 1040, 1170, 1560, 1872, 2080, 2340,
+    ]
+
+
+def test_level_engine_meter_target_585_family():
+    # the 585 family's < 1,000 ops/bit target: the subproduct tree splits
+    # Phi_585's 24 factors in 5 rounds, about 780-802 ops/bit on random inputs
+    rng = SplitMix64(41)
+    for n in (585, 1170, 2340):
+        for s in _level_engine_inputs(n, rng, 10):
+            meter = OpMeter()
+            solve(s, meter)
+            assert meter.total() < 1000 * n, (n, meter)
 
 
 def _delta_after_saturation(s, fac, t, exponents):
@@ -549,7 +598,7 @@ def test_caches_are_bounded():
     for cached in (
         choose_algorithm,
         factor_xn_minus_1,
-        _level_cofactors,
+        _level_tree,
         gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
         gf2poly._is_irreducible_int,
