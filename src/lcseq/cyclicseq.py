@@ -1,5 +1,5 @@
-"""Cyclic binary sequences, polynomials in the shift operator, and the
-logical bit-operation meter.
+"""Cyclic binary sequences, polynomials in the shift operator, the
+logical bit-operation meter, and the result every algorithm returns.
 
 A sequence [s_0 .. s_{N-1}] is stored as an integer with bit i = s_i, so a
 polynomial f applied to the shift operator acts as an XOR of rotated copies
@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2poly import Poly2, _divisors
+from .gf2poly import Poly2, _divisors, _product_of_powers
 
 __all__ = [
     "CyclicSeq",
     "OpMeter",
+    "LcResult",
     "apply_poly",
     "apply_poly_pow2",
     "is_zero",
@@ -130,6 +131,48 @@ class OpMeter:
 
     def __repr__(self) -> str:
         return f"OpMeter(xor={self.xor_ops}, cmp={self.cmp_ops}, counter={self.counter_ops})"
+
+
+class LcResult:
+    """Linear complexity plus the minimal polynomial and meter snapshot.
+
+    The minimal polynomial is assembled lazily from the per-factor
+    exponents when an algorithm reports those instead of the product.
+    """
+
+    __slots__ = ("complexity", "algorithm", "meter", "deltas", "_min_poly")
+
+    def __init__(
+        self,
+        complexity: int,
+        algorithm: str,
+        meter: OpMeter,
+        deltas: tuple[tuple[Poly2, int], ...] | None = None,
+        min_poly: Poly2 | None = None,
+    ):
+        if min_poly is None and deltas is None:
+            raise ValueError("need the minimal polynomial or its factor exponents")
+        self.complexity = complexity
+        self.algorithm = algorithm
+        self.meter = meter
+        self.deltas = deltas
+        self._min_poly = min_poly
+
+    @property
+    def min_poly(self) -> Poly2:
+        if self._min_poly is None:
+            self._min_poly = Poly2(_product_of_powers((q.bits, d) for q, d in self.deltas))
+        return self._min_poly
+
+    def key(self) -> tuple[int, int]:
+        """(complexity, min_poly bits) for cross-oracle comparison."""
+        return self.complexity, self.min_poly.bits
+
+    def __repr__(self) -> str:
+        return (
+            f"LcResult(c={self.complexity}, f={self.min_poly.to_human()}, "
+            f"algorithm={self.algorithm})"
+        )
 
 
 def apply_poly(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> CyclicSeq:

@@ -75,20 +75,9 @@ def _mul_int(a: int, b: int) -> int:
     return r
 
 
-_SPREAD = [sum(((byte >> i) & 1) << (2 * i) for i in range(8)) for byte in range(256)]
-
-
-def _sqr_int(a: int) -> int:
-    """Square over GF(2): coefficient of x^j moves to x^(2j)."""
-    if a < 256:
-        return _SPREAD[a]
-    raw = a.to_bytes((a.bit_length() + 7) // 8, "little")
-    out = bytearray(2 * len(raw))
-    for i, byte in enumerate(raw):
-        v = _SPREAD[byte]
-        out[2 * i] = v & 0xFF
-        out[2 * i + 1] = v >> 8
-    return int.from_bytes(out, "little")
+def _compose(a: int, k: int) -> int:
+    """a(x^k), which over GF(2) is also a^k when k is a power of two."""
+    return int(("0" * (k - 1)).join(format(a, "b")), 2)
 
 
 def _divrem_int(a: int, b: int) -> tuple[int, int]:
@@ -119,13 +108,29 @@ def _gcd_int(a: int, b: int) -> int:
 
 
 def _pow_int(base: int, e: int) -> int:
+    """base^e: square-and-multiply on the odd part of e, then one x -> x^(2^v)."""
+    low = (e & -e) or 1
+    e //= low
     r = 1
     while e:
         if e & 1:
             r = _mul_int(r, base)
         e >>= 1
         if e:
-            base = _sqr_int(base)
+            base = _compose(base, 2)
+    return _compose(r, low) if low > 1 else r
+
+
+def _product_of_powers(pairs) -> int:
+    """prod q^e over the (q, e) pairs: the q sharing an exponent are multiplied
+    first, so each distinct exponent costs one power."""
+    groups: dict[int, int] = {}
+    for q, e in pairs:
+        if e:
+            groups[e] = _mul_int(groups.get(e, 1), q)
+    r = 1
+    for e, g in groups.items():
+        r = _mul_int(r, _pow_int(g, e))
     return r
 
 
@@ -137,7 +142,7 @@ def _powmod_int(base: int, e: int, mod: int) -> int:
             r = _mod_int(_mul_int(r, base), mod)
         e >>= 1
         if e:
-            base = _mod_int(_sqr_int(base), mod)
+            base = _mod_int(_compose(base, 2), mod)
     return r
 
 
@@ -404,7 +409,6 @@ class Factorization:
     def validate(self) -> None:
         n = self.modulus_degree
         seen = set()
-        prod = 1
         for q, alpha, gamma in self.factors:
             if q.bits in seen:
                 raise ValueError("repeated irreducible factor")
@@ -417,8 +421,7 @@ class Factorization:
                 ok = (1 << (gamma - 1)) < alpha <= (1 << gamma)
             if not ok:
                 raise ValueError("gamma is not the ceiling exponent of alpha")
-            prod = _mul_int(prod, _pow_int(q.bits, alpha))
-        if prod != (1 << n) | 1:
+        if _product_of_powers((q.bits, alpha) for q, alpha, _ in self.factors) != (1 << n) | 1:
             raise ValueError("factor product does not reproduce x^N - 1")
 
 
@@ -468,7 +471,7 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
             b = (1 << (r // p)) | 1
             den = _divrem_int(_mul_int(den, b), _gcd_int(den, b))[0]
         phi_r = _divrem_int((1 << r) | 1, den)[0]
-    phi = int(("0" * (d // r - 1)).join(format(phi_r, "b")), 2)
+    phi = _compose(phi_r, d // r)
     k = _mult_order(2, d)
     if k == _euler_phi(d):
         return (phi,)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .cyclicseq import CyclicSeq, OpMeter, apply_poly_pow2, is_zero
+from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2, is_zero
 from .gf2poly import (
     Factorization,
     Poly2,
@@ -56,7 +56,7 @@ from .gf2poly import (
     factor_xn_minus_1,
     is_irreducible,
 )
-from .oracle import LcResult, gcd_method
+from .oracle import gcd_method
 
 __all__ = [
     "AlgorithmChoice",
@@ -267,9 +267,11 @@ def find_delta(
     """Exact exponent of one irreducible factor in the minimal polynomial.
 
     The level engine finds it with all the others.  Returns the exponent
-    and the target-annihilated image of the input for reuse.
+    and the target-annihilated image of the input for reuse.  ``fac`` must
+    be factor_xn_minus_1(s.n), whose UnsupportedPeriod propagates; any
+    other factorization raises ValueError.
     """
-    if fac.modulus_degree != s.n:
+    if fac != factor_xn_minus_1(s.n):
         raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
     q_t = fac.factors[target_index].poly
@@ -293,8 +295,9 @@ def min_poly_general(
 
     Each cyclotomic level of x^N - 1 is projected out of the input, and a
     block Games-Chan descent reads the exponent of each of its factors.
+    ``fac`` must be factor_xn_minus_1(s.n), as for find_delta.
     """
-    if fac.modulus_degree != s.n:
+    if fac != factor_xn_minus_1(s.n):
         raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
     return _general_engine(s, meter, TAG_GENERAL)

@@ -11,14 +11,11 @@ polynomial.
 
 from __future__ import annotations
 
-from functools import reduce
-
-from .cyclicseq import CyclicSeq, OpMeter
+from .cyclicseq import CyclicSeq, LcResult, OpMeter
 from .gf2poly import (
     Poly2,
     _divrem_int,
     _gcd_int,
-    _mul_int,
     _pow_int,
     exponent,
     is_irreducible,
@@ -26,7 +23,6 @@ from .gf2poly import (
 )
 
 __all__ = [
-    "LcResult",
     "InfeasibleSize",
     "gcd_method",
     "berlekamp_massey",
@@ -38,51 +34,6 @@ __all__ = [
 
 class InfeasibleSize(ValueError):
     """Raised when a brute-force enumeration would be too large."""
-
-
-class LcResult:
-    """Linear complexity plus the minimal polynomial and meter snapshot.
-
-    The minimal polynomial is assembled lazily from the per-factor
-    exponents when an algorithm reports those instead of the product.
-    """
-
-    __slots__ = ("complexity", "algorithm", "meter", "deltas", "_min_poly")
-
-    def __init__(
-        self,
-        complexity: int,
-        algorithm: str,
-        meter: OpMeter,
-        deltas: tuple[tuple[Poly2, int], ...] | None = None,
-        min_poly: Poly2 | None = None,
-    ):
-        if min_poly is None and deltas is None:
-            raise ValueError("need the minimal polynomial or its factor exponents")
-        self.complexity = complexity
-        self.algorithm = algorithm
-        self.meter = meter
-        self.deltas = deltas
-        self._min_poly = min_poly
-
-    @property
-    def min_poly(self) -> Poly2:
-        if self._min_poly is None:
-            bits = reduce(
-                _mul_int, (_pow_int(q.bits, d) for q, d in self.deltas if d), 1
-            )
-            self._min_poly = Poly2(bits)
-        return self._min_poly
-
-    def key(self) -> tuple[int, int]:
-        """(complexity, min_poly bits) for cross-oracle comparison."""
-        return self.complexity, self.min_poly.bits
-
-    def __repr__(self) -> str:
-        return (
-            f"LcResult(c={self.complexity}, f={self.min_poly.to_human()}, "
-            f"algorithm={self.algorithm})"
-        )
 
 
 def _reversed(bits: int, deg: int) -> int:

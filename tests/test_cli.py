@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcseq
 from lcseq.cli import main, make_report
 from lcseq.cyclicseq import CyclicSeq, OpMeter
 from lcseq.gf2poly import Poly2
@@ -427,3 +431,25 @@ def test_enumerate_rejects_non_primitive(capsys):
 def test_enumerate_infeasible_exit_4(capsys):
     code, out, err = run(capsys, "enumerate", "--poly", "111", "--max-power", "11")
     assert code == 4 and err
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_cli_imports_only_the_standard_library():
+    # -S keeps site hooks (.pth files) from importing third-party modules
+    source = str(Path(lcseq.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {source!r}); import lcseq.cli; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    outside = [
+        name
+        for name in proc.stdout.split()
+        if name != "__main__"
+        and name.split(".")[0] != "lcseq"
+        and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []

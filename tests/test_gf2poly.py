@@ -9,7 +9,9 @@ from lcseq.gf2poly import (
     DegreeCapExceeded,
     Poly2,
     UnsupportedPeriod,
+    _compose,
     _cyclotomic_factors,
+    _product_of_powers,
     add,
     divrem,
     exponent,
@@ -195,11 +197,23 @@ def test_gcd_divides_and_is_greatest(a, b, g):
 
 
 @settings(max_examples=150)
-@given(polys)
-def test_frobenius_squaring(f):
+@given(polys, st.integers(min_value=0, max_value=6))
+def test_frobenius_squaring(f, k):
     sq = f * f
     manual = Poly2.from_exponents(2 * j for j in range(300) if (f.bits >> j) & 1)
     assert sq == manual
+    # f^(2^k) = f(x^(2^k)): k squarings by multiplication, one substitution
+    sq_k = functools.reduce(lambda a, _: a * a, range(k), f)
+    assert Poly2(_compose(f.bits, 1 << k)) == sq_k == f ** (1 << k)
+    assert f ** (3 << k) == sq_k * sq_k * sq_k
+
+
+def test_product_of_powers():
+    q1, q2, q3 = P("11"), P("111"), P("1101")
+    pairs = [(q1, 2), (q3, 0), (q2, 3), (q3, 2), (P("11001"), 0), (q2, 1)]
+    want = q1**2 * q2**3 * q3**2 * q2
+    assert _product_of_powers((q.bits, e) for q, e in pairs) == want.bits
+    assert _product_of_powers([]) == 1
 
 
 def test_exponent_divides_group_order_all_small_irreducibles():

@@ -7,6 +7,8 @@ from lcseq import gf2poly
 from lcseq._rng import SplitMix64
 from lcseq.cyclicseq import CyclicSeq, OpMeter, apply_poly, apply_poly_pow2
 from lcseq.gf2poly import (
+    Factorization,
+    FactorPower,
     Poly2,
     UnsupportedPeriod,
     all_ones,
@@ -148,12 +150,32 @@ def test_find_delta_examples():
     d, _ = find_delta(S("1" * 12), fac12, idx12[P("11")])
     assert d == 1
 
-    # a factorization of another length is refused, whether or not the
-    # target factor also divides x^N - 1
+    for s, fac, error, text in _refused_factorizations():
+        with pytest.raises(error, match=text):
+            find_delta(s, fac, 2)
+
+
+def _refused_factorizations():
+    """(sequence, factorization, error, text) cases that find_delta and
+    min_poly_general refuse: they accept factor_xn_minus_1(N) alone."""
     s15 = S("011010001110101")
-    for other in (9, 5):
-        with pytest.raises(ValueError, match="does not match"):
-            find_delta(s15, factor_xn_minus_1(other), 2)
+    fac15 = factor_xn_minus_1(15)
+    stranger = FactorPower(P("1101"), 1, 0)  # does not divide x^15 - 1
+    # past the 2^32 cap, built without the range check that would take 2^33 bits
+    huge = object.__new__(CyclicSeq)
+    object.__setattr__(huge, "bits", 0)
+    object.__setattr__(huge, "n", 1 << 33)
+    return [
+        # another length, whether or not the target also divides x^N - 1
+        (s15, factor_xn_minus_1(9), ValueError, "does not match"),
+        (s15, factor_xn_minus_1(5), ValueError, "does not match"),
+        # the right length with a factor missing, or a stranger as the target
+        (s15, Factorization(15, fac15.factors[:-1]), ValueError, "does not match"),
+        (s15, Factorization(15, fac15.factors[:2] + (stranger,)), ValueError, "does not match"),
+        # unsupported lengths: one level of 1206 has factors of degree 66
+        (CyclicSeq(5, 1206), Factorization(1206, ()), UnsupportedPeriod, "supported family"),
+        (huge, Factorization(1 << 33, ()), UnsupportedPeriod, "beyond 2\\^32"),
+    ]
 
 
 def _multiplicity(minpoly: Poly2, q: Poly2) -> int:
@@ -193,6 +215,10 @@ def test_min_poly_general_examples():
 
     r = min_poly_general(S("011011"), fac6)
     assert (r.complexity, r.min_poly) == (2, P("111"))
+
+    for s, fac, error, text in _refused_factorizations():
+        with pytest.raises(error, match=text):
+            min_poly_general(s, fac)
 
 
 def test_min_poly_general_matches_oracles_exhaustive():
