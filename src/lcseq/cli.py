@@ -2,8 +2,11 @@
 
 Reports are JSON on stdout (CSV for bench on request); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found mismatches, 2
-malformed input or flags, 3 unsupported period for a forced non-fallback
-algorithm, 4 infeasible enumeration.
+malformed input or flags, among them a flag the chosen mode would not read
+(--poly without --algorithm ppp, a bits --len that disagrees with the bit
+count, --trials or --seed with verify --exhaustive, --n-max with verify
+--n), 3 unsupported period for a forced non-fallback algorithm, 4
+infeasible enumeration.
 
 Randomized campaigns draw inputs from SplitMix64 (see _rng) so runs
 reproduce bit-for-bit across implementations given the same seed.
@@ -103,7 +106,10 @@ def _read_sequence(args) -> tuple[CyclicSeq, str]:
             raise _UsageError(f"cannot read {args.infile}: {exc}")
     try:
         if args.format == "bits":
-            return CyclicSeq.from_bits_str(text), "bits"
+            s = CyclicSeq.from_bits_str(text)
+            if args.len not in (None, s.n):
+                raise _UsageError(f"--len {args.len} disagrees with the {s.n} bits given")
+            return s, "bits"
         if args.len is None:
             raise _UsageError("--len is required with --format hex")
         return CyclicSeq.from_hex_str(text, args.len), "hex"
@@ -111,40 +117,42 @@ def _read_sequence(args) -> tuple[CyclicSeq, str]:
         raise _UsageError(str(exc))
 
 
-def _run_algorithm(name: str, s: CyclicSeq, poly_arg: str | None) -> LcResult:
-    if name == "auto":
-        return solve(s)
-    if name == "gcd":
-        return gcd_method(s)
-    if name == "bm":
-        return berlekamp_massey(s)
-    if name == "games-chan":
-        return games_chan(s)
+def _read_poly(text: str, test, adjective: str) -> Poly2:
+    """The polynomial given as --poly bits; it must pass test (irreducible or primitive)."""
+    try:
+        f = Poly2.from_bits_str(text)
+        passed = f.degree >= 1 and test(f)  # DegreeCapExceeded above 24
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    if not passed:
+        raise _UsageError(f"{f.to_human()} is not {adjective}")
+    return f
+
+
+def _run_algorithm(name: str, s: CyclicSeq, f: Poly2 | None) -> LcResult:
+    if name == "ppp":
+        return ppp(f, s)[1]
     if name == "general":
         return min_poly_general(s, factor_xn_minus_1(s.n))
-    if name == "ppp":
-        if poly_arg is None:
-            raise _UsageError("--algorithm ppp requires --poly")
-        try:
-            f = Poly2.from_bits_str(poly_arg)
-            irreducible = f.degree >= 1 and is_irreducible(f)  # DegreeCapExceeded above 24
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        if not irreducible:
-            raise _UsageError(f"{f.to_human()} is not irreducible")
-        return ppp(f, s)[1]
-    if name == "fast":
-        if not is_fast(choose_algorithm(s.n).tag):
-            raise UnsupportedPeriod(s.n, "no fast family applies")
-        return solve(s)
-    raise _UsageError(f"unknown algorithm {name!r}")
+    if name == "fast" and not is_fast(choose_algorithm(s.n).tag):
+        raise UnsupportedPeriod(s.n, "no fast family applies")
+    run = {"auto": solve, "fast": solve, "games-chan": games_chan,
+           "bm": berlekamp_massey, "gcd": gcd_method}  # argparse admits no other name
+    return run[name](s)
 
 
 def cmd_compute(args) -> int:
     s, fmt = _read_sequence(args)
+    f = None
+    if args.algorithm == "ppp":
+        if args.poly is None:
+            raise _UsageError("--algorithm ppp requires --poly")
+        f = _read_poly(args.poly, is_irreducible, "irreducible")
+    elif args.poly is not None:
+        raise _UsageError("--poly applies only to --algorithm ppp")
     t0 = time.perf_counter_ns()
     try:
-        result = _run_algorithm(args.algorithm, s, args.poly)
+        result = _run_algorithm(args.algorithm, s, f)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -199,57 +207,58 @@ def _family_lengths(family: str, n_max: int) -> list[int]:
     return [_campaign_length(length(k)) for k in range(first, n_max + 1)]
 
 
-def _check_one(s: CyclicSeq) -> tuple[bool, bool, LcResult]:
-    res = solve(s)
-    ok = res.key() == gcd_method(s).key() and res.key() == berlekamp_massey(s).key()
-    bad_bound = violates_bound(res.algorithm, s.n, res.meter)
-    return ok, bad_bound, res
+def _draws(args):
+    """(length, its inputs) in campaign order, every draw from one generator.
 
-
-def cmd_verify(args) -> int:
+    Refuses the flags the mode does not read and fills in the defaults of
+    those it does, before the first draw.  Use up each length's inputs
+    before taking the next length.
+    """
     if (args.n is None) == (args.family is None):
         raise _UsageError("exactly one of --n and --family is required")
     if args.exhaustive and args.n is None:
         raise _UsageError("--exhaustive needs --n")
+    if args.n is not None and args.n_max is not None:
+        raise _UsageError("--n-max applies to --family, not --n")
+    if args.exhaustive:
+        if args.trials is not None or args.seed is not None:
+            raise _UsageError("--exhaustive checks every input: --trials and --seed do not apply")
+        if args.n > 20:
+            raise _UsageError("exhaustive verification caps n at 20")
+        return iter([(args.n, (CyclicSeq(bits, args.n) for bits in range(1 << args.n)))])
+    for name, value in (("n_max", 8), ("trials", 100), ("seed", 0)):
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    if args.n is not None:
+        lengths = [_campaign_length(args.n)]
+    else:
+        lengths = _family_lengths(args.family, args.n_max)
+    rng = SplitMix64(args.seed)
+    return ((n, (CyclicSeq(rng.getrandbits(n), n) for _ in range(args.trials))) for n in lengths)
+
+
+def cmd_verify(args) -> int:
+    lengths = []
     checked = 0
     mismatches = 0
     mismatch_examples: list[str] = []
     bound_violations = 0
     bound_examples: list[str] = []
+    for n, inputs in _draws(args):
+        lengths.append(n)
+        for s in inputs:
+            res = solve(s)
+            checked += 1
+            if res.key() != gcd_method(s).key() or res.key() != berlekamp_massey(s).key():
+                mismatches += 1
+                if mismatches <= 5:
+                    mismatch_examples.append(s.to_bits_str())
+            if violates_bound(res.algorithm, s.n, res.meter):
+                bound_violations += 1
+                if bound_violations <= 5:
+                    bound_examples.append(s.to_bits_str())
 
-    def consider(s: CyclicSeq) -> None:
-        nonlocal checked, mismatches, bound_violations
-        ok, bad_bound, _ = _check_one(s)
-        checked += 1
-        if not ok:
-            mismatches += 1
-            if len(mismatch_examples) < 5:
-                mismatch_examples.append(s.to_bits_str())
-        if bad_bound:
-            bound_violations += 1
-            if len(bound_examples) < 5:
-                bound_examples.append(s.to_bits_str())
-
-    if args.n is not None:
-        if args.exhaustive:
-            if args.n > 20:
-                raise _UsageError("exhaustive verification caps n at 20")
-            for bits in range(1 << args.n):
-                consider(CyclicSeq(bits, args.n))
-        else:
-            _campaign_length(args.n)
-            rng = SplitMix64(args.seed)
-            for _ in range(args.trials):
-                consider(CyclicSeq(rng.getrandbits(args.n), args.n))
-        scope: dict = {"n": args.n}
-    else:
-        rng = SplitMix64(args.seed)
-        lengths = _family_lengths(args.family, args.n_max)
-        for n in lengths:
-            for _ in range(args.trials):
-                consider(CyclicSeq(rng.getrandbits(n), n))
-        scope = {"family": args.family, "lengths": lengths}
-
+    scope = {"n": args.n} if args.n is not None else {"family": args.family, "lengths": lengths}
     summary = {
         **scope,
         "checked": checked,
@@ -257,26 +266,19 @@ def cmd_verify(args) -> int:
         "mismatch_examples": mismatch_examples,
         "bound_violations": bound_violations,
         "bound_violation_examples": bound_examples,
-        "seed": None if args.exhaustive else args.seed,
+        "seed": args.seed,  # None when exhaustive
     }
     print(json.dumps(summary, indent=2))
     return EXIT_MISMATCH if (mismatches or bound_violations) else EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    rng = SplitMix64(args.seed)
     rows = []
-    for n in _family_lengths(args.family, args.n_max):
-        totals = []
+    for n, inputs in _draws(args):
         t0 = time.perf_counter_ns()
-        tag = None
-        for _ in range(args.trials):
-            s = CyclicSeq(rng.getrandbits(n), n)
-            res = solve(s)
-            tag = res.algorithm
-            totals.append(res.meter.total())
+        totals = [solve(s).meter.total() for s in inputs]
         elapsed = time.perf_counter_ns() - t0
-        bound = bound_for(tag, n)
+        tag = choose_algorithm(n).tag
         rows.append(
             {
                 "family": args.family,
@@ -285,7 +287,7 @@ def cmd_bench(args) -> int:
                 "trials": args.trials,
                 "ops_max": max(totals),
                 "ops_mean": sum(totals) / len(totals),
-                "bound": bound,
+                "bound": bound_for(tag, n),
                 "beta_max": max(totals) / n,
                 "elapsed_ns": elapsed,
             }
@@ -305,13 +307,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        f = Poly2.from_bits_str(args.poly)
-        primitive = f.degree >= 1 and is_primitive(f)  # DegreeCapExceeded above 24
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    if not primitive:
-        raise _UsageError(f"{f.to_human()} is not primitive")
+    f = _read_poly(args.poly, is_primitive, "primitive")
     k = f.degree
     if k * args.max_power > 20:
         print("error: degree * max-power exceeds the brute-force cap 20", file=sys.stderr)
@@ -379,19 +375,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="differential campaign against both oracles")
     pv.add_argument("--n", type=_positive_int, help="single cycle length")
     pv.add_argument("--family", choices=_FAMILIES, help="length family ('p^n' uses p=3)")
-    pv.add_argument("--n-max", type=_positive_int, default=8, dest="n_max")
-    pv.add_argument("--trials", type=_positive_int, default=100)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--exhaustive", action="store_true", help="all 2^n inputs (with --n)")
-    pv.set_defaults(func=cmd_verify)
-
     pb = sub.add_parser("bench", help="metered operation counts vs the paper bounds")
     pb.add_argument("--family", choices=_FAMILIES, required=True)
-    pb.add_argument("--n-max", type=_positive_int, default=8, dest="n_max")
-    pb.add_argument("--trials", type=_positive_int, default=100)
-    pb.add_argument("--seed", type=int, default=0)
+    for campaign in (pv, pb):  # None when not given; see _draws
+        campaign.add_argument("--n-max", type=_positive_int, dest="n_max")
+        campaign.add_argument("--trials", type=_positive_int)
+        campaign.add_argument("--seed", type=int)
+    pv.add_argument("--exhaustive", action="store_true", help="all 2^n inputs (with --n)")
+    pv.set_defaults(func=cmd_verify)
     pb.add_argument("--format", choices=("json", "csv"), default="json")
-    pb.set_defaults(func=cmd_bench)
+    pb.set_defaults(func=cmd_bench, n=None, exhaustive=False)
 
     pe = sub.add_parser("enumerate", help="period census of powers of a primitive polynomial")
     pe.add_argument("--poly", required=True, help="polynomial bits, constant term first")

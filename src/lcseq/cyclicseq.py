@@ -96,21 +96,16 @@ class CyclicSeq:
         return f"CyclicSeq({self.to_bits_str()})"
 
 
+@dataclass(slots=True)
 class OpMeter:
     """Ledger of logical bit operations for one algorithm invocation."""
 
-    __slots__ = ("xor_ops", "cmp_ops", "counter_ops")
-
-    def __init__(self, xor_ops: int = 0, cmp_ops: int = 0, counter_ops: int = 0):
-        self.xor_ops = xor_ops
-        self.cmp_ops = cmp_ops
-        self.counter_ops = counter_ops
+    xor_ops: int = 0
+    cmp_ops: int = 0
+    counter_ops: int = 0
 
     def total(self) -> int:
         return self.xor_ops + self.cmp_ops + self.counter_ops
-
-    def snapshot(self) -> "OpMeter":
-        return OpMeter(self.xor_ops, self.cmp_ops, self.counter_ops)
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -119,18 +114,6 @@ class OpMeter:
             "counter": self.counter_ops,
             "total": self.total(),
         }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OpMeter):
-            return NotImplemented
-        return (self.xor_ops, self.cmp_ops, self.counter_ops) == (
-            other.xor_ops,
-            other.cmp_ops,
-            other.counter_ops,
-        )
-
-    def __repr__(self) -> str:
-        return f"OpMeter(xor={self.xor_ops}, cmp={self.cmp_ops}, counter={self.counter_ops})"
 
 
 class LcResult:

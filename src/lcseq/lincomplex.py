@@ -549,10 +549,8 @@ _ALGORITHMS = {
         lambda c, s, m: lc_odd_prime_power(c.p, c.n, s, m),
         lambda n, p, n2: 2 * n + sum(_factorize(p).values()),
     ),
-    TAG_ODD_COMPOSITE: _Algorithm(lambda c, s, m: lc_odd_composite(list(c.primes), s, m)),
-    TAG_GENERAL: _Algorithm(
-        lambda c, s, m: min_poly_general(s, factor_xn_minus_1(s.n), m), fast=False
-    ),
+    TAG_ODD_COMPOSITE: _Algorithm(lambda c, s, m: _general_engine(s, m, TAG_ODD_COMPOSITE)),
+    TAG_GENERAL: _Algorithm(lambda c, s, m: _general_engine(s, m, TAG_GENERAL), fast=False),
     TAG_ORACLE_FALLBACK: _Algorithm(_oracle_fallback, fast=False),
 }
 

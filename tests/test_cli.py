@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lcseq
+from lcseq import cli
 from lcseq.cli import main, make_report
 from lcseq.cyclicseq import CyclicSeq, OpMeter
 from lcseq.gf2poly import Poly2
@@ -63,7 +64,7 @@ def test_compute_hex_input(capsys):
     assert rep["n"] == 8
     assert rep["input_format"] == "hex"
     bits_rep = run_json(
-        capsys, "compute", "--seq", "01011000", "--algorithm", "gcd"
+        capsys, "compute", "--seq", "01011000", "--len", "8", "--algorithm", "gcd"
     )
     assert rep["complexity"] == bits_rep["complexity"]
 
@@ -105,6 +106,14 @@ def test_compute_malformed_input_exit_2(capsys, tmp_path):
     path.write_bytes(b"01\xff1\n")  # not ASCII
     code, out, err = run(capsys, "compute", "--in", str(path))
     assert code == 2 and "error:" in err and not out
+    # a flag the chosen path would not read
+    for argv in (
+        ("--seq", "10", "--format", "bits", "--len", "5"),
+        ("--seq", "0101", "--poly", "111"),
+        ("--seq", "0101", "--algorithm", "gcd", "--poly", "1x"),
+    ):
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 2 and "error:" in err and not out, argv
 
 
 def test_report_within_bound_is_violates_bound():
@@ -307,9 +316,49 @@ def test_verify_flag_validation(capsys):
         ("enumerate", "--poly", "1" + "0" * 24 + "1", "--max-power", "1"),
         # an exhaustive run covers one length; a family run is seeded
         ("verify", "--family", "pow2", "--exhaustive", "--n-max", "2", "--trials", "3"),
+        ("verify", "--n", "4", "--exhaustive", "--trials", "5"),
+        ("verify", "--n", "4", "--exhaustive", "--seed", "3"),
+        ("verify", "--n", "6", "--n-max", "3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error" in err and not out, argv
+
+
+def _verify_summary(scope, checked, seed):
+    return {
+        **scope, "checked": checked, "mismatches": 0, "mismatch_examples": [],
+        "bound_violations": 0, "bound_violation_examples": [], "seed": seed,
+    }
+
+
+# One summary per campaign mode, and the first five inputs it draws: a
+# bound check that always fails lists them in draw order.
+_GOLDEN_VERIFY = {
+    "exhaustive": (
+        ("--n", "6", "--exhaustive"),
+        _verify_summary({"n": 6}, 64, None),
+        ["000000", "100000", "010000", "110000", "001000"]),
+    "n": (
+        ("--n", "10", "--trials", "5", "--seed", "3"),
+        _verify_summary({"n": 10}, 5, 3),
+        ["1011011111", "1001000110", "1000000010", "1111001110", "0110100110"]),
+    "family": (
+        ("--family", "5x2n", "--n-max", "3", "--trials", "4", "--seed", "11"),
+        _verify_summary({"family": "5x2n", "lengths": [5, 10, 20, 40]}, 16, 11),
+        ["10111", "10000", "10110", "00001", "0010001110"]),
+}
+
+
+@pytest.mark.parametrize("mode", list(_GOLDEN_VERIFY))
+def test_verify_golden_summary_per_mode(capsys, monkeypatch, mode):
+    argv, want, first_drawn = _GOLDEN_VERIFY[mode]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 0 and out == json.dumps(want, indent=2) + "\n"
+    monkeypatch.setattr(cli, "violates_bound", lambda tag, n, meter: True)
+    code, out, err = run(capsys, "verify", *argv)
+    rep = json.loads(out)
+    assert code == 1 and rep["bound_violations"] == want["checked"]
+    assert rep["bound_violation_examples"] == first_drawn
 
 
 def test_composite_family_runs_out(capsys):
