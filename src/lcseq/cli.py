@@ -2,11 +2,11 @@
 
 Reports are JSON on stdout (CSV for bench on request); diagnostics go to
 stderr.  Exit codes: 0 success, 1 verification found mismatches, 2
-malformed input or flags, among them a flag the chosen mode would not read
-(--poly without --algorithm ppp, a bits --len that disagrees with the bit
-count, --trials or --seed with verify --exhaustive, --n-max with verify
---n), 3 unsupported period for a forced non-fallback algorithm, 4
-infeasible enumeration.
+malformed input or flags, among them a --seed outside [0, 2^64) and a flag
+the chosen mode would not read (--poly without --algorithm ppp, a bits
+--len that disagrees with the bit count, --trials or --seed with verify
+--exhaustive, --n-max with verify --n), 3 unsupported period for a forced
+non-fallback algorithm, 4 infeasible enumeration.
 
 Randomized campaigns draw inputs from SplitMix64 (see _rng) so runs
 reproduce bit-for-bit across implementations given the same seed.
@@ -229,6 +229,8 @@ def _draws(args):
     for name, value in (("n_max", 8), ("trials", 100), ("seed", 0)):
         if getattr(args, name) is None:
             setattr(args, name, value)
+    if not 0 <= args.seed < 1 << 64:
+        raise _UsageError("--seed must be in [0, 2^64): SplitMix64 keeps 64 bits of state")
     if args.n is not None:
         lengths = [_campaign_length(args.n)]
     else:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+
+from ._rng import SplitMix64
 
 __all__ = [
     "Poly2",
@@ -38,9 +39,14 @@ __all__ = [
 # algorithms here never need factors above this degree.
 DEGREE_CAP = 24
 
-# Degree cap for splitting a cyclotomic level Phi_d (d with several primes,
-# such as 15 = 3*5) by dividing it by every candidate of degree ord_d(2).
+# Dispatch gate on a cyclotomic level Phi_d with several primes (such as
+# 15 = 3*5): its factor degree ord_d(2) must not exceed this.  Equal-degree
+# splitting is not limited by it; the gate keeps the supported lengths fixed.
 _ENUM_CAP = 16
+
+# Draws that fail to split one piece before _equal_degree_factors gives up;
+# on valid input each draw splits with probability at least 1/2.
+_SPLIT_DRAWS = 64
 
 # Entries kept by each per-length or per-polynomial cache; holds every
 # length a benchmark workload or a test campaign revisits.
@@ -432,8 +438,9 @@ def _support_gap(n: int) -> str | None:
     irreducible factors of degree ord_d(2), so support is decided by the
     divisors d of N's odd part alone: a prime-power level p^j needs
     p < 2^16 and 2 primitive mod p^j (Phi_{p^j} irreducible), and a level
-    with several primes needs ord_d(2) <= _ENUM_CAP for the enumeration
-    that splits it.  The first failing level, in increasing d, is reported.
+    with several primes needs ord_d(2) <= _ENUM_CAP, a gate on dispatch
+    rather than a limit of the equal-degree split.  The first failing
+    level, in increasing d, is reported.
     """
     for d in _divisors(_split_period(n)[0])[1:]:
         fac_d = _factorize(d)
@@ -450,6 +457,39 @@ def _support_gap(n: int) -> str | None:
     return None
 
 
+def _equal_degree_factors(f: int, k: int, seed: int) -> tuple[int, ...]:
+    """The irreducible factors of f, in increasing order, when f is a product
+    of distinct irreducibles of degree k (Cantor-Zassenhaus, characteristic 2).
+
+    For a random a of degree < deg f, T(a) = a + a^2 + ... + a^(2^(k-1)) mod f
+    is 0 or 1 modulo each factor, each with probability 1/2, so gcd(f, T(a))
+    splits a piece with two or more factors at least half the time.  The a
+    are drawn from SplitMix64(seed); the sorted result does not depend on
+    the seed.  Raises ValueError after _SPLIT_DRAWS draws fail on one piece,
+    which on valid input has probability at most 2^-64.
+    """
+    rng = SplitMix64(seed)
+    pieces, done = [f], []
+    while pieces:
+        g = pieces.pop()
+        deg = g.bit_length() - 1
+        if deg == k:
+            done.append(g)
+            continue
+        for _ in range(_SPLIT_DRAWS):
+            a = t = rng.getrandbits(deg)
+            for _ in range(k - 1):
+                a = _mod_int(_compose(a, 2), g)
+                t ^= a
+            h = _gcd_int(g, t)
+            if 1 < h < g:
+                pieces += (h, _divrem_int(g, h)[0])
+                break
+        else:
+            raise ValueError(f"no split of a degree-{deg} polynomial into degree-{k} factors")
+    return tuple(sorted(done))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cyclotomic_factors(d: int) -> tuple[int, ...]:
     """The irreducible factors of Phi_d over GF(2), as raw bits in increasing order.
@@ -458,8 +498,8 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
     Phi_r = (x^r - 1) / lcm over primes p | r of (x^(r/p) - 1), which is
     the all-ones polynomial when r is a single prime.  Every
     irreducible factor of Phi_d has degree k = ord_d(2), so Phi_d is itself
-    irreducible when k = phi(d); otherwise any degree-k divisor of Phi_d is
-    one of its phi(d)/k factors, and each is found by one exact division.
+    irreducible when k = phi(d); otherwise its phi(d)/k factors come from
+    equal-degree splitting, seeded by d.
     """
     primes = _factorize(d)
     r = math.prod(primes)
@@ -475,8 +515,7 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
     k = _mult_order(2, d)
     if k == _euler_phi(d):
         return (phi,)
-    divisors = (c for c in range((1 << k) | 1, 2 << k, 2) if _mod_int(phi, c) == 0)
-    return tuple(islice(divisors, _euler_phi(d) // k))
+    return _equal_degree_factors(phi, k, d)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -484,11 +523,13 @@ def factor_xn_minus_1(n: int) -> Factorization:
     """Factor x^N - 1 for the supported period families.
 
     x^N - 1 = prod over d | m of Phi_d^(2^a) for N = m * 2^a, m odd: the factors
-    come level by level in increasing d, each split by _cyclotomic_factors.
+    come level by level in increasing d, each level split by equal-degree
+    factorization in _cyclotomic_factors.
 
     Supported: N < 2^32 whose odd part has only primes p < 2^16, with 2 a
     primitive root mod every prime power p^j dividing it, and whose
-    divisors d with several primes have ord_d(2) <= 16.  That covers
+    divisors d with several primes have ord_d(2) <= 16 (the dispatch gate
+    _ENUM_CAP, not a limit of the split).  That covers
     N = 2^a, odd prime powers p^k, products of them, and any of these times
     a power of two.  Raises UnsupportedPeriod otherwise; callers fall back
     to the oracle module.

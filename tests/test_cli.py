@@ -319,9 +319,18 @@ def test_verify_flag_validation(capsys):
         ("verify", "--n", "4", "--exhaustive", "--trials", "5"),
         ("verify", "--n", "4", "--exhaustive", "--seed", "3"),
         ("verify", "--n", "6", "--n-max", "3"),
+        # SplitMix64 keeps 64 bits of state: -1 would draw what 2^64 - 1 draws
+        ("verify", "--n", "5", "--seed", "-1", "--trials", "2"),
+        ("verify", "--n", "5", "--seed", str(1 << 64), "--trials", "2"),
+        ("bench", "--family", "pow2", "--n-max", "2", "--seed", "-1", "--trials", "2"),
+        ("bench", "--family", "pow2", "--n-max", "2", "--seed", str(1 << 64), "--trials", "2"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "error" in err and not out, argv
+    # both ends of the seed range are accepted
+    for seed in (0, (1 << 64) - 1):
+        code, out, err = run(capsys, "verify", "--n", "5", "--seed", str(seed), "--trials", "2")
+        assert code == 0 and json.loads(out)["seed"] == seed
 
 
 def _verify_summary(scope, checked, seed):

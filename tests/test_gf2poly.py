@@ -11,6 +11,7 @@ from lcseq.gf2poly import (
     UnsupportedPeriod,
     _compose,
     _cyclotomic_factors,
+    _equal_degree_factors,
     _product_of_powers,
     add,
     divrem,
@@ -166,6 +167,29 @@ def test_factor_product_check_all_supported_lengths():
             assert level == sorted(set(level)), (n, d)
         assert rest == [], n
     assert supported > 100  # the families are not trivially empty
+
+
+@pytest.mark.parametrize("d", [771, 1057, 1285, 2047])
+def test_cyclotomic_factors_beyond_the_dispatch_gate(d):
+    # levels with several primes whose factor degree (16, 15, 16, 11) the
+    # dispatch gate does not admit still split into their irreducibles
+    count, degree = _level_shape(d)
+    level = _cyclotomic_factors(d)
+    assert [q.bit_length() - 1 for q in level] == [degree] * count
+    assert list(level) == sorted(set(level))
+    assert all(is_irreducible(Poly2(q)) for q in level)
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    product = _product_of_powers((q, 1) for e in divisors for q in _cyclotomic_factors(e))
+    assert product == x_pow_n_minus_1(d).bits
+
+
+def test_equal_degree_split_refuses_a_wrong_degree():
+    # an irreducible of degree 2k never splits into degree-k factors: the
+    # draws run out and raise instead of looping
+    for f, k in ((P("11001").bits, 2), (_cyclotomic_factors(1285)[0], 8)):
+        assert is_irreducible(Poly2(f)) and f.bit_length() - 1 == 2 * k
+        with pytest.raises(ValueError):
+            _equal_degree_factors(f, k, 1)
 
 
 @settings(max_examples=150)
