@@ -126,6 +126,8 @@ def _read_poly(text: str, test, adjective: str) -> Poly2:
         raise _UsageError(str(exc))
     if not passed:
         raise _UsageError(f"{f.to_human()} is not {adjective}")
+    if not f.bits & 1:
+        raise _UsageError(f"{f.to_human()} has constant term 0, so it has no exponent")
     return f
 
 

@@ -388,6 +388,8 @@ def is_primitive(f: Poly2) -> bool:
     """Irreducible with exponent 2^deg - 1 (nonzero roots generate the field)."""
     if f.degree < 1:
         raise ValueError("primitivity needs degree >= 1")
+    if not f.bits & 1:
+        return False  # x divides f, so f has no exponent
     return _is_irreducible_int(f.bits) and _exponent_int(f.bits) == (1 << f.degree) - 1
 
 
@@ -497,9 +499,9 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
     Phi_d(x) = Phi_r(x^(d/r)) with r the product of d's distinct primes, and
     Phi_r = (x^r - 1) / lcm over primes p | r of (x^(r/p) - 1), which is
     the all-ones polynomial when r is a single prime.  Every
-    irreducible factor of Phi_d has degree k = ord_d(2), so Phi_d is itself
-    irreducible when k = phi(d); otherwise its phi(d)/k factors come from
-    equal-degree splitting, seeded by d.
+    irreducible factor of Phi_d has degree k = ord_d(2), and equal-degree
+    splitting, seeded by d, finds its phi(d)/k factors; it returns Phi_d
+    itself at once when k = phi(d).
     """
     primes = _factorize(d)
     r = math.prod(primes)
@@ -512,10 +514,7 @@ def _cyclotomic_factors(d: int) -> tuple[int, ...]:
             den = _divrem_int(_mul_int(den, b), _gcd_int(den, b))[0]
         phi_r = _divrem_int((1 << r) | 1, den)[0]
     phi = _compose(phi_r, d // r)
-    k = _mult_order(2, d)
-    if k == _euler_phi(d):
-        return (phi,)
-    return _equal_degree_factors(phi, k, d)
+    return _equal_degree_factors(phi, _mult_order(2, d), d)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

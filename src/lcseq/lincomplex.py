@@ -26,11 +26,13 @@ The p * 2^n engine runs the two-phase search (first the exponent of the
 all-ones factor with the halving descent, then Games-Chan for the x+1
 exponent) on a compact state: a sequence st of length p * 2^l standing for
 the current value (E+1)^(2^l) st.  One halving of st advances the descent
-one level; the zero test reads only the first (p-1) * 2^(l-1) bits of the
-next difference, which determines the rest through the linear recurrence.
-Phase B reuses the first level's intermediates, so the whole run stays
-inside the advertised budget on every input, including the degenerate
-branches.
+one level; the test reads only the first (p-1) * 2^(l-1) bits of the
+level's difference, which determine the rest through the linear
+recurrence.  Besides st the run keeps acc, the sum of the block lengths of
+the nonzero tests, and the first level's difference and test, from which
+phase B reassembles the blockwise total, so the whole run stays inside the
+advertised budget on every input, including the degenerate branches.
+Each shift-XOR is charged where it is computed (``_diff``).
 """
 
 from __future__ import annotations
@@ -307,110 +309,80 @@ def min_poly_general(
 # N = p * 2^n two-phase engine
 
 
+def _diff(bits: int, shift: int, width: int, meter: OpMeter) -> int:
+    """The low ``width`` bits of bits XOR (bits >> shift), charged ``width`` XORs."""
+    meter.xor_ops += width
+    return ((bits >> shift) ^ bits) & ((1 << width) - 1)
+
+
 def _px2n_engine(p: int, bits: int, n: int, meter: OpMeter) -> tuple[int, int]:
     """Return (i, j): the exponents of 1+x+..+x^(p-1) and of x+1.
 
-    Phase A descends the all-ones factor with one halving of the state per
-    level; the zero branch rebuilds the next state from adjacent blocks
-    (for p = 3 a pure relabeling does it).  Phase B runs Games-Chan on the
-    blockwise total of the input, reassembled from phase-A intermediates.
+    Phase A descends the all-ones factor with one halving of the state st
+    per level; acc adds the block length of each nonzero test.  Phase B
+    runs Games-Chan on the blockwise total of the input, reassembled from
+    the first level's difference top and its test.  Every shift-XOR is
+    charged where it is computed.
     """
     # fold away fully repeated halves: both exponents are preserved
-    s_prime = 0
-    while n > 0:
-        half_len = p << (n - 1)
-        s_prime = ((bits >> half_len) ^ bits) & ((1 << half_len) - 1)
-        meter.xor_ops += half_len
-        if s_prime:
+    while n:
+        top = _diff(bits, p << (n - 1), p << (n - 1), meter)
+        if top:
             break
-        bits &= (1 << half_len) - 1
         n -= 1
-    if n == 0:
-        # base: one odd period. i = 1 unless all bits agree; j = overall parity.
-        w = ((bits >> 1) ^ bits) & ((1 << (p - 1)) - 1)
-        meter.xor_ops += p - 1
-        i = 1 if w else 0
-        t = bits.bit_count() & 1
-        meter.xor_ops += p - 1
-        return i, t
+        bits &= (1 << (p << n)) - 1
 
     # ---- phase A ----
     st = bits
     acc = 0
-    any_nonzero = False
-    branch1_zero = False
-    sp_top = 0
-    u_top = 0
     for level in range(n, 0, -1):
         blk = 1 << (level - 1)
-        half_len = p * blk
+        d = top if level == n else _diff(st, p * blk, p * blk, meter)
+        # a zero difference skips its test, which would read only zero bits
+        test = d and _diff(d, blk, (p - 1) * blk, meter)
         if level == n:
-            s_new = s_prime  # computed (and charged) by the folding loop
-        else:
-            s_new = ((st >> half_len) ^ st) & ((1 << half_len) - 1)
-            meter.xor_ops += half_len
-        if s_new == 0:
-            # the test would read all-zero bits of a zero image: skip it
-            st = _zero_branch_state(p, st, blk, half_len, meter)
-            continue
-        w = ((s_new >> blk) ^ s_new) & ((1 << ((p - 1) * blk)) - 1)
-        meter.xor_ops += (p - 1) * blk
-        if level == n:
-            sp_top, u_top, branch1_zero = s_new, w, (w == 0)
-        if w:
-            st = s_new
+            first_test = test
+        if test:
+            st = d
             acc += blk
             meter.counter_ops += 1
-            any_nonzero = True
         else:
-            st = _zero_branch_state(p, st, blk, half_len, meter)
-    if any_nonzero:
-        i = acc + 1
-    else:
-        w_fin = ((st >> 1) ^ st) & ((1 << (p - 1)) - 1)
-        meter.xor_ops += p - 1
-        i = acc + 1 if w_fin else 0
+            # a zero difference or test: opposite blocks of st differ by one
+            # common block, so the adjacent-block sums represent the halved
+            # value; for p = 3 relabeling blocks 0, 2 and 4 gives one free
+            if p == 3:
+                mask = (1 << blk) - 1
+                b0 = st & mask
+                b2 = (st >> (2 * blk)) & mask
+                b4 = (st >> (4 * blk)) & mask
+                st = b2 | (b0 << blk) | (b4 << (2 * blk))
+            else:
+                st = _diff(st, blk, p * blk, meter)
+    # a nonzero test already shows the all-ones factor; else read p - 1 bits
+    i = acc + 1 if acc or _diff(st, 1, p - 1, meter) else 0
 
     # ---- phase B: Games-Chan on the blockwise total ----
+    if n == 0:
+        # one odd period: the total is the parity
+        meter.xor_ops += p - 1
+        return i, bits.bit_count() & 1
     blk = 1 << (n - 1)
-    if branch1_zero:
-        # the first test proved all p blocks of sp_top equal; their total is
-        # that common block, nonzero because sp_top is. No bits are touched.
-        kappa = sp_top & ((1 << blk) - 1)
+    if not first_test:
+        # the first test proved all p blocks of top equal; their total is
+        # that common block, nonzero because top is. No bits are touched.
         meter.counter_ops += 1
-        j = blk + _gc_int(kappa, blk, meter, fresh=False)
-    else:
-        h = sp_top >> ((p - 1) * blk)
-        for t in range(0, p - 1, 2):
-            h ^= u_top >> (t * blk)
-        h &= (1 << blk) - 1
-        meter.xor_ops += ((p - 1) // 2) * blk
-        if h:
-            meter.counter_ops += 1
-            j = blk + _gc_int(h, blk, meter, fresh=True)
-        else:
-            left = _fold(bits, 1 << n, p) & ((1 << blk) - 1)
-            meter.xor_ops += (p - 1) * blk
-            j = _gc_int(left, blk, meter, fresh=True)
-    return i, j
-
-
-def _zero_branch_state(p: int, st: int, blk: int, half_len: int, meter: OpMeter) -> int:
-    """Next descent state after a zero test, at half the length.
-
-    The zero test shows the opposite blocks of st differ by one common
-    block, so adjacent-block sums represent the halved value.  For p = 3
-    the representative can be relabeled from existing blocks for free.
-    """
-    if p == 3:
-        mask = (1 << blk) - 1
-        b0 = st & mask
-        b2 = (st >> (2 * blk)) & mask
-        b4 = (st >> (4 * blk)) & mask
-        return b2 | (b0 << blk) | (b4 << (2 * blk))
-    tau = ((st >> blk) ^ st) & ((1 << half_len) - 1)
-    meter.xor_ops += half_len
-    return tau
+        return i, blk + _gc_int(top & ((1 << blk) - 1), blk, meter, fresh=False)
+    h = top >> ((p - 1) * blk)
+    for t in range(0, p - 1, 2):
+        h ^= first_test >> (t * blk)
+    h &= (1 << blk) - 1
+    meter.xor_ops += ((p - 1) // 2) * blk
+    if h:
+        meter.counter_ops += 1
+        return i, blk + _gc_int(h, blk, meter, fresh=True)
+    left = _fold(bits, 1 << n, p) & ((1 << blk) - 1)
+    meter.xor_ops += (p - 1) * blk
+    return i, _gc_int(left, blk, meter, fresh=True)
 
 
 def lc_3x2n(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
@@ -428,8 +400,7 @@ def lc_px2n(p: int, s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
         raise UnsupportedPeriod(s.n, f"length is not {p} * 2^n with p in a fast family")
     meter = meter if meter is not None else OpMeter()
     i, j = _px2n_engine(p, s.bits, choice.n, meter)
-    tag = TAG_FAST_3X2N if p == 3 else TAG_FAST_PX2N
-    return LcResult((p - 1) * i + j, tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
+    return LcResult((p - 1) * i + j, choice.tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def _canonical_rotation(bits: int, n: int) -> int:
     return best_bits
 
 
-def sequence_family(q: Poly2, max_len: int = 1 << 16) -> set[CyclicSeq]:
+def sequence_family(q: Poly2) -> set[CyclicSeq]:
     """All nonzero cyclic sequences generated by the irreducible q.
 
     One representative per cyclic class (lexicographically least rotation),
@@ -133,8 +133,6 @@ def sequence_family(q: Poly2, max_len: int = 1 << 16) -> set[CyclicSeq]:
     if q.degree > 16:
         raise InfeasibleSize("sequence_family caps the degree at 16")
     e = exponent(q)
-    if e > max_len:
-        raise InfeasibleSize(f"family period {e} exceeds max_len={max_len}")
     k = q.degree
     taps = q.bits & ((1 << k) - 1)
     out: set[CyclicSeq] = set()

@@ -97,6 +97,9 @@ def test_compute_malformed_input_exit_2(capsys, tmp_path):
             capsys, "compute", "--seq", "0101", "--algorithm", "ppp", "--poly", poly
         )
         assert code == 2 and "not irreducible" in err and not out, poly
+    # x is irreducible but has no exponent
+    code, out, err = run(capsys, "compute", "--seq", "0101", "--algorithm", "ppp", "--poly", "01")
+    assert code == 2 and "constant term 0" in err and not out
     poly = "1" + "0" * 24 + "1"  # degree 25, above the irreducibility cap
     code, out, err = run(capsys, "compute", "--seq", "0101", "--algorithm", "ppp", "--poly", poly)
     assert code == 2 and "cap" in err and not out
@@ -484,6 +487,9 @@ def test_enumerate_cubic(capsys):
 def test_enumerate_rejects_non_primitive(capsys):
     code, out, err = run(capsys, "enumerate", "--poly", "11111", "--max-power", "2")
     assert code == 2 and err
+    # x: its shift map is not a bijection, so an orbit walk would not return
+    code, out, err = run(capsys, "enumerate", "--poly", "01", "--max-power", "1")
+    assert code == 2 and "error:" in err and not out
 
 
 def test_enumerate_infeasible_exit_4(capsys):
@@ -496,11 +502,12 @@ def test_enumerate_infeasible_exit_4(capsys):
 
 
 def test_cli_imports_only_the_standard_library():
-    # -S keeps site hooks (.pth files) from importing third-party modules
+    # -S keeps site hooks (.pth files) from importing third-party modules;
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps .pyc files out of src/
     source = str(Path(lcseq.__file__).resolve().parents[1])
     code = f"import sys; sys.path.insert(0, {source!r}); import lcseq.cli; print(*sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     outside = [

@@ -105,6 +105,8 @@ def test_primitive_examples():
     assert is_primitive(P("111"))
     assert not is_primitive(P("11111"))  # exponent 5 != 15
     assert is_primitive(P("1101"))
+    # x is irreducible, but with constant term 0 it has no exponent
+    assert is_primitive(P("01")) is False
 
 
 def test_factor_12():

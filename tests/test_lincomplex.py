@@ -469,6 +469,59 @@ def test_lc_px2n_every_exponent_pair():
                 assert meter.total() <= bound, (p, n2, i, j, meter.as_dict())
 
 
+def _px2n_pinned_inputs(p, n2, rng):
+    """Every input up to 13 bits; else zero, all-ones, random inputs, a random
+    block repeated 2, 4, ..., 2^n2 times, and one input whose first test is
+    zero (its first difference has p equal blocks)."""
+    n = p << n2
+    if n <= 13:
+        yield from range(1 << n)
+        return
+    yield 0
+    yield (1 << n) - 1
+    for _ in range(8):
+        yield rng.getrandbits(n)
+    for r in range(1, n2 + 1):
+        width = n >> r
+        yield rng.getrandbits(width) * (((1 << n) - 1) // ((1 << width) - 1))
+    if n2:
+        half, blk = n >> 1, 1 << (n2 - 1)
+        low = rng.getrandbits(half)
+        top = (rng.getrandbits(blk) | 1) * (((1 << half) - 1) // ((1 << blk) - 1))
+        yield low | (low ^ top) << half
+
+
+# (p, n2) -> (xor, cmp, counter) summed over _px2n_pinned_inputs, frozen from
+# the engine at commit b86bac4; the zero-difference, zero-test and n2 = 0
+# paths each charge their own share
+_PX2N_METER_TOTALS = {
+    (3, 0): (32, 0, 0),
+    (3, 1): (448, 8, 80),
+    (3, 2): (76144, 1512, 12736),
+    (5, 0): (256, 0, 0),
+    (5, 1): (13472, 32, 1472),
+    (13, 0): (196608, 0, 0),
+    (3, 8): (22042, 5, 184),
+    (5, 6): (8923, 3, 128),
+    (13, 4): (5358, 5, 74),
+    (29, 2): (2500, 2, 33),
+    (2221, 0): (44400, 0, 0),
+}
+
+
+def test_lc_px2n_meter_totals_pinned():
+    rng = SplitMix64(1313)
+    for (p, n2), want in _PX2N_METER_TOTALS.items():
+        got = [0, 0, 0]
+        for bits in _px2n_pinned_inputs(p, n2, rng):
+            meter = OpMeter()
+            lc_px2n(p, CyclicSeq(bits, p << n2), meter)
+            got[0] += meter.xor_ops
+            got[1] += meter.cmp_ops
+            got[2] += meter.counter_ops
+        assert tuple(got) == want, (p, n2)
+
+
 def test_lc_px2n_validation():
     with pytest.raises(UnsupportedPeriod):
         lc_px2n(7, S("0" * 14))  # 2 not a primitive root mod 7

@@ -95,6 +95,8 @@ def test_msequence_fixtures():
     assert msequence(P("11")) == S("1")
     with pytest.raises(ValueError):
         msequence(P("11111"))
+    with pytest.raises(ValueError):
+        msequence(P("01"))  # x: no exponent, no m-sequence
 
 
 def test_sequence_family_paper_fixture():
@@ -136,6 +138,8 @@ def test_enumerate_by_period_examples():
 def test_enumerate_by_period_guards():
     with pytest.raises(ValueError):
         enumerate_by_period(P("11111"), 2)  # not primitive
+    with pytest.raises(ValueError):
+        enumerate_by_period(P("01"), 1)  # x: the shift map is not a bijection
     with pytest.raises(InfeasibleSize):
         enumerate_by_period(P("111"), 11)  # 2*11 > 20
 
