@@ -5,9 +5,10 @@ A sequence [s_0 .. s_{N-1}] is stored as an integer with bit i = s_i, so a
 polynomial f applied to the shift operator acts as an XOR of rotated copies
 and runs word-parallel.  The meter adds block lengths analytically, which
 keeps the accounting machine-independent: one XOR producing one output bit
-costs 1, a zero-test of freshly produced bits is free (the producing XORs
-were already charged), a zero-test of stored bits costs its length, and
-relabeling (halves, thirds, prefixes) costs nothing.
+costs 1, so dividing by g costs weight(g) - 1 for every quotient position; a
+zero-test of freshly produced bits is free (the producing XORs were already
+charged), a zero-test of stored bits costs its length, and relabeling
+(halves, thirds, prefixes) costs nothing.
 """
 
 from __future__ import annotations

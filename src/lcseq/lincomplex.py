@@ -18,9 +18,10 @@ machine-independent bit-operation meter:
   ``violates_bound``        the paper's operation bound per algorithm tag
 
 Every descent is one Games-Chan loop on blocks: halving on blocks of 1 bit
-for Games-Chan, of exponent(f) bits for ``ppp``, and of d bits for each
-cyclotomic level Phi_d, which the general engine projects out of the input;
-and, for N = p^n, dividing by p on 1-bit blocks (radix p).
+for Games-Chan, of exponent(f) bits for ``ppp`` and of d bits for each
+irreducible cyclotomic level Phi_d, which the general engine projects out of
+the input, and, for N = p^n, dividing by p on 1-bit blocks (radix p).  A
+reducible level descends a remainder tree of its factors instead.
 
 The p * 2^n engine runs the two-phase search (first the exponent of the
 all-ones factor with the halving descent, then Games-Chan for the x+1
@@ -48,9 +49,13 @@ from .gf2poly import (
     UnsupportedPeriod,
     X_PLUS_1,
     _CACHE_SIZE,
+    _compose,
     _cyclotomic_factors,
     _divisors,
+    _divrem_int,
     _factorize,
+    _mod_int,
+    _mul_int,
     _split_period,
     _support_gap,
     all_ones,
@@ -192,71 +197,95 @@ def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcRe
 
 
 # ---------------------------------------------------------------------------
-# the general method: one block descent per cyclotomic level
+# the general method: a block descent or a remainder tree per cyclotomic level
 
 
-def _subproduct_tree(factors: tuple[Poly2, ...]) -> tuple:
-    """Node (factors, product of the factors, halves) of a balanced subproduct
-    tree; halves is None for a single factor, else the (left, right) nodes."""
-    if len(factors) == 1:
-        return factors, factors[0], None
-    mid = len(factors) // 2
-    left, right = _subproduct_tree(factors[:mid]), _subproduct_tree(factors[mid:])
-    return factors, left[1] * right[1], (left, right)
+def _reduce(a: int, width: int, divisor: tuple, meter: OpMeter) -> int:
+    """a mod g, a of the given width, charged (width - deg g) * (weight(g) - 1) XORs:
+    in rounds of one shift-XOR per term when exps lists g's terms, else bit by bit."""
+    g, exps = divisor
+    top = g.bit_length() - 1
+    meter.xor_ops += (width - top) * (g.bit_count() - 1)
+    if exps is None:
+        return _mod_int(a, g)
+    while hi := a >> top:
+        for e in exps:
+            a ^= hi << e
+    return a
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _level_tree(d: int) -> tuple:
-    """Subproduct tree over the irreducible factors of Phi_d, in ascending order."""
-    return _subproduct_tree(tuple(map(Poly2, _cyclotomic_factors(d))))
+def _remainder_tree(d: int, t: int) -> tuple:
+    """Remainder tree over the factors q of Phi_d, ascending: node (factors, divisor, left,
+    right), divisor = (product of the reciprocals q*)(x^(2^t)); leaf (factors, q*(x^(2^t)),
+    ..., q*(x^2), q*).  Each divisor is a (g, exps) record for _reduce."""
+
+    def divisor(g: int) -> tuple:  # g, with its terms' exponents if its top gap exceeds its weight
+        exps = [e for e in range(g.bit_length()) if g >> e & 1]
+        return g, exps if exps[-1] - exps[-2] > len(exps) else None
+
+    def node(factors: tuple[Poly2, ...]) -> tuple:
+        if len(factors) == 1:
+            r = int(format(factors[0].bits, "b")[::-1], 2)
+            return (factors, *(divisor(_compose(r, 1 << j)) for j in range(t, -1, -1)))
+        left, right = node(factors[: len(factors) // 2]), node(factors[len(factors) // 2 :])
+        return factors, divisor(_mul_int(left[1][0], right[1][0])), left, right
+
+    return node(tuple(map(Poly2, _cyclotomic_factors(d))))
 
 
-def _tree_deltas(
-    node: tuple, y: int, width: int, t: int, d: int, meter: OpMeter, deltas: list
-) -> None:
-    """Append the exponent of each factor under node, y being their joint component.
+def _remainder_deltas(node: tuple, y: int, width: int, meter: OpMeter, deltas: list) -> None:
+    """Append the exponent of each factor under node, y being fresh bits of the width.
 
-    (Product of one half)^(2^t) kills that half's components of y and is a
-    unit on the other half's; a single factor's exponent is read by block
-    Games-Chan.  A zero y, a free test of fresh bits, gives every factor
-    under the node exponent 0.
-    """
-    factors, _, halves = node
+    y mod the node's divisor keeps each q*'s multiplicity up to 2^t, so a zero
+    remainder gives every q under it exponent 0.  A leaf's r = q* divides by
+    r(x^(2^j)), j = t-1 .. 0: an exact division adds 2^j to the multiplicity
+    v and keeps the quotient.  q's exponent is 2^t - v."""
+    factors, divisor, *below = node
+    y = y and _reduce(y, width, divisor, meter)
+    width = divisor[0].bit_length() - 1
     if not y:
         deltas.extend((q, 0) for q in factors)
-    elif halves is None:
-        deltas.append((factors[0], _gc_int(y, width, meter, True, d)))
+    elif len(factors) > 1:
+        for child in below:
+            _remainder_deltas(child, y, width, meter, deltas)
     else:
-        left, right = halves
-        for child, other_product in ((left, right[1]), (right, left[1])):
-            z = apply_poly_pow2(other_product, t, CyclicSeq(y, width), meter).bits
-            _tree_deltas(child, z, width, t, d, meter, deltas)
+        v = 0
+        for r in below:
+            rem = _reduce(y, width, r, meter)
+            width = r[0].bit_length() - 1
+            v += v + (not rem)
+            y = rem or _divrem_int(y, r[0])[0]
+        deltas.append((factors[0], (1 << len(below)) - v))
 
 
 def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]:
     """Each irreducible factor of x^N - 1 with its exponent in the minimal polynomial.
 
-    For N = m * 2^t, m odd, and each d | m in increasing order, at width
-    d * 2^t: the fold multiplies s by ((x^m - 1)/(x^d - 1))^(2^t), which
-    kills the levels Phi_d' with d' not dividing d and is 1 modulo x^d - 1;
-    adding the rotation by width/p for each prime p | d kills the levels
-    below Phi_d and is a unit on it.  The level's subproduct tree then
-    splits that component: at each node, the (2^t)-th power of one half's
-    product isolates the other half, so F factors take about log2(F)
-    rounds, each applying products whose degrees sum to deg Phi_d.
-    Games-Chan on d-bit blocks reads each factor's exponent.
+    N = m * 2^t, m odd.  For each d | m, decreasing, s folds onto width
+    d * 2^t from the fold of d * p, p the smallest prime of m/d, at
+    (p - 1) * width XORs.  Then, level by level, adding the rotation by
+    width/p for each prime p | d kills the levels below Phi_d and is a unit
+    on it.  Block Games-Chan reads an irreducible level, a remainder tree a
+    reducible one; a zero level, fresh bits, is a free test.
     """
     m, t = _split_period(s.n)
+    divisors = _divisors(m)
+    folds = {m: s.bits}
+    for d in reversed(divisors[:-1]):
+        p = min(_factorize(m // d))
+        folds[d] = _fold(folds[d * p], d << t, p)
+        meter.xor_ops += (p - 1) * d << t
     deltas = []
-    for d in _divisors(m):
-        width = d << t
-        y = _fold(s.bits, width, m // d)
-        meter.xor_ops += s.n - width
+    for d in divisors:
+        width, y = d << t, folds[d]
         for p in _factorize(d):
-            j = width // p
-            y ^= ((y >> j) | (y << (width - j))) & ((1 << width) - 1)
-            meter.xor_ops += width
-        _tree_deltas(_level_tree(d), y, width, t, d, meter, deltas)
+            y = _diff(y | y << width, width // p, width, meter)
+        factors = _cyclotomic_factors(d)
+        if len(factors) > 1:
+            _remainder_deltas(_remainder_tree(d, t), y, width, meter, deltas)
+        else:
+            deltas.append((Poly2(factors[0]), y and _gc_int(y, width, meter, True, d)))
     return tuple(deltas)
 
 
@@ -295,8 +324,8 @@ def min_poly_general(
 ) -> LcResult:
     """Assemble the full minimal polynomial level by level.
 
-    Each cyclotomic level of x^N - 1 is projected out of the input, and a
-    block Games-Chan descent reads the exponent of each of its factors.
+    Each cyclotomic level of x^N - 1 is projected out of the input; block
+    Games-Chan or the level's remainder tree reads its factors' exponents.
     ``fac`` must be factor_xn_minus_1(s.n), as for find_delta.
     """
     if fac != factor_xn_minus_1(s.n):

@@ -214,12 +214,12 @@ _GOLDEN_AUTO = [
         _ops(16, 0, 2), 20, True)),
     ("100101110010011", _golden(
         15, "OddComposite", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
-        _ops(134, 0, 0))),
+        _ops(120, 0, 0))),
     ("101100111000101101", _golden(
         18, "General", 16, "10101010101010101", "(x^2+x+1)^2(x^6+x^3+1)^2",
         [_delta("11", "x+1", 0), _delta("111", "x^2+x+1", 2),
          _delta("1001001", "x^6+x^3+1", 2)],
-        _ops(64, 0, 2))),
+        _ops(52, 0, 2))),
     ("0011010", _golden(
         7, "OracleFallback", 4, "10111", "x^4+x^3+x^2+1", None, _ops(0, 0, 0))),
 ]
@@ -227,7 +227,7 @@ _GOLDEN_AUTO = [
 _GOLDEN_FORCED = [
     (("100101110010011", "--algorithm", "general"), _golden(
         15, "General", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
-        _ops(134, 0, 0))),
+        _ops(120, 0, 0))),
     (("100110", "--algorithm", "gcd"), _golden(
         6, "GcdMethod", 6, "1000001", "x^6+1", None, _ops(0, 0, 0))),
     (("011010001101", "--algorithm", "bm"), _golden(
@@ -437,8 +437,8 @@ _GOLDEN_BENCH = {
                 "ops_max": 55, "ops_mean": 55.0, "bound": 57,
                 "beta_max": 2.037037037037037}),
     "composite": (3, {"family": "composite", "N": 39, "algorithm": "OddComposite",
-                      "trials": 3, "ops_max": 818, "ops_mean": 818.0, "bound": None,
-                      "beta_max": 20.974358974358974}),
+                      "trials": 3, "ops_max": 590, "ops_mean": 590.0, "bound": None,
+                      "beta_max": 15.128205128205128}),
 }
 
 

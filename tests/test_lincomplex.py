@@ -26,7 +26,7 @@ from lcseq.lincomplex import (
     TAG_ODD_PRIME_POWER,
     TAG_ORACLE_FALLBACK,
     _fold,
-    _level_tree,
+    _remainder_tree,
     choose_algorithm,
     find_delta,
     games_chan,
@@ -262,18 +262,18 @@ def test_level_engine_matches_oracles_below_3000():
 
 
 def test_level_engine_bound_on_irreducible_levels():
-    # with m an odd prime power every level Phi_d is irreducible; each d | m
-    # costs at most N - width (fold) + omega(d) * width (rotations)
-    # + width - d (halvings) + t (counters) + d (final read)
+    # with m an odd prime power every level Phi_d is irreducible.  The chained
+    # folds cost N - 2^t in all; each d | m then costs at most
+    # omega(d) * width (rotations) + width - d (halvings) + t (counters)
+    # + d (final read), width = d * 2^t
     rng = SplitMix64(29)
     checked = 0
     for n in _level_engine_lengths():
         m, t = gf2poly._split_period(n)
         if len(gf2poly._factorize(m)) > 1:
             continue
-        divisors = gf2poly._divisors(m)
-        bound = len(divisors) * (n + t) + (1 << t) * sum(
-            len(gf2poly._factorize(d)) * d for d in divisors
+        bound = n - (1 << t) + sum(
+            (d << t) * (1 + len(gf2poly._factorize(d))) + t for d in gf2poly._divisors(m)
         )
         for s in _level_engine_inputs(n, rng, 20):
             meter = OpMeter()
@@ -283,22 +283,26 @@ def test_level_engine_bound_on_irreducible_levels():
     assert checked == 150 * 22
 
 
+def _largest_level(n):
+    m, t = gf2poly._split_period(n)
+    d = max(gf2poly._divisors(m), key=lambda k: len(gf2poly._cyclotomic_factors(k)))
+    return _remainder_tree(d, t), t
+
+
 def test_level_engine_structured_reducible_levels():
     # inputs projected onto a chosen set S of one reducible level's factors:
     # one factor, the tree's left half, its right half, all but one.  Each
-    # leaves whole subtrees with a zero component, so the descent's zero
+    # leaves whole subtrees with a zero remainder, so the descent's zero
     # skip runs; every factor outside S reads exponent 0, and with these
     # seeded inputs every factor in S a nonzero one
     rng = SplitMix64(37)
     lengths = []
     for n in _level_engine_lengths():
-        m, t = gf2poly._split_period(n)
-        d = max(gf2poly._divisors(m), key=lambda k: len(_level_tree(k)[0]))
-        factors, _, halves = _level_tree(d)
+        (factors, _, *below), t = _largest_level(n)
         if len(factors) <= 2:
             continue
         lengths.append(n)
-        left, right = halves
+        left, right = below
         xn1 = x_pow_n_minus_1(n)
         subsets = [factors[:1], left[0], right[0], factors[1:]]
         for subset in subsets:
@@ -311,17 +315,37 @@ def test_level_engine_structured_reducible_levels():
         65, 117, 130, 195, 234, 260, 390, 468, 520,
         585, 780, 936, 1040, 1170, 1560, 1872, 2080, 2340,
     ]
+    # partial multiplicities: q(E)^v lowers q's exponent e in a seeded input
+    # by v, 0 < v < 2^t, so a leaf's remainder keeps q* with multiplicity
+    # 2^t - e + v and its descent takes exact and inexact divisions in
+    # either order; e is read off the gcd oracle, and is 2^t for most inputs
+    partial = 0
+    for n in (60, 260, 780, 1248, 1920, 2340):
+        (factors, *_), t = _largest_level(n)
+        assert len(factors) > 1 and t >= 2, n
+        for q in (factors[0], factors[-1]):
+            for v in (1, 1 << (t - 1), (1 << t) - 1):
+                s = CyclicSeq(rng.getrandbits(n), n)
+                f, e = gcd_method(s).min_poly, 0
+                while q.divides(f):
+                    f, e = f // q, e + 1
+                s = apply_poly(q**v, s)
+                r = solve(s)
+                assert dict(r.deltas)[q] == max(e - v, 0), (n, q, v)
+                assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), (n, q, v)
+                partial += 0 < e - v
+    assert partial == 36
 
 
 def test_level_engine_meter_target_585_family():
-    # the 585 family's < 1,000 ops/bit target: the subproduct tree splits
-    # Phi_585's 24 factors in 5 rounds, about 780-802 ops/bit on random inputs
+    # the 585 family's < 200 ops/bit target: with chained folds and the
+    # remainder tree, random inputs cost about 131-135 ops/bit
     rng = SplitMix64(41)
     for n in (585, 1170, 2340):
         for s in _level_engine_inputs(n, rng, 10):
             meter = OpMeter()
             solve(s, meter)
-            assert meter.total() < 1000 * n, (n, meter)
+            assert meter.total() < 200 * n, (n, meter)
 
 
 def _delta_after_saturation(s, fac, t, exponents):
@@ -677,7 +701,7 @@ def test_caches_are_bounded():
     for cached in (
         choose_algorithm,
         factor_xn_minus_1,
-        _level_tree,
+        _remainder_tree,
         gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
         gf2poly._is_irreducible_int,
