@@ -86,15 +86,22 @@ def _compose(a: int, k: int) -> int:
     return int(("0" * (k - 1)).join(format(a, "b")), 2)
 
 
+# The division loops read bit_length() once per quotient bit and carry the
+# remainder's length forward: the gcd oracle runs them about once per
+# coefficient of its input.
+
+
 def _divrem_int(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
     db = b.bit_length()
+    da = a.bit_length()
     q = 0
-    while a.bit_length() >= db:
-        sh = a.bit_length() - db
+    while da >= db:
+        sh = da - db
         q |= 1 << sh
         a ^= b << sh
+        da = a.bit_length()
     return q, a
 
 
@@ -102,14 +109,22 @@ def _mod_int(a: int, b: int) -> int:
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
     db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
     return a
 
 
 def _gcd_int(a: int, b: int) -> int:
+    """Euclid with the remainder loop inline: no call per step."""
+    db = b.bit_length()
     while b:
-        a, b = b, _mod_int(a, b)
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b, db = b, a, da
     return a
 
 

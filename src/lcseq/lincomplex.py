@@ -259,6 +259,15 @@ def _remainder_deltas(node: tuple, y: int, width: int, meter: OpMeter, deltas: l
         deltas.append((factors[0], (1 << len(below)) - v))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _level_plan(m: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(d, the smallest prime of m/d, the primes of d) for each d | m, increasing;
+    the smallest prime is 1 for d = m."""
+    return tuple(
+        (d, min(_factorize(m // d), default=1), tuple(_factorize(d))) for d in _divisors(m)
+    )
+
+
 def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]:
     """Each irreducible factor of x^N - 1 with its exponent in the minimal polynomial.
 
@@ -270,16 +279,15 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
     reducible one; a zero level, fresh bits, is a free test.
     """
     m, t = _split_period(s.n)
-    divisors = _divisors(m)
+    plan = _level_plan(m)
     folds = {m: s.bits}
-    for d in reversed(divisors[:-1]):
-        p = min(_factorize(m // d))
+    for d, p, _ in reversed(plan[:-1]):
         folds[d] = _fold(folds[d * p], d << t, p)
         meter.xor_ops += (p - 1) * d << t
     deltas = []
-    for d in divisors:
+    for d, _, primes in plan:
         width, y = d << t, folds[d]
-        for p in _factorize(d):
+        for p in primes:
             y = _diff(y | y << width, width // p, width, meter)
         factors = _cyclotomic_factors(d)
         if len(factors) > 1:

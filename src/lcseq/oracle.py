@@ -1,9 +1,17 @@
 """Reference implementations used to validate the fast algorithms.
 
 Two independent oracles compute the linear complexity and minimal
-polynomial of a cyclic sequence: the generating-function gcd method and
-LFSR synthesis (Berlekamp-Massey) run over two concatenated periods.  The
-module also provides the generators the property suites need: m-sequences,
+polynomial of a cyclic sequence:
+
+* ``gcd_method`` takes g = gcd(s^N(x), x^N - 1) by Euclid and the quotient
+  f = (x^N - 1)/g as the first N - deg g + 1 terms of the power series 1/g,
+  by Newton doubling; it checks g * f = x^N - 1 and raises ArithmeticError
+  otherwise.
+* ``berlekamp_massey`` runs LFSR synthesis over two concatenated periods,
+  keeping the products stream * C and stream * B shifted down to the
+  current step, so the discrepancy is their lowest bit.
+
+The module also provides the generators the property suites need: m-sequences,
 the family S(q) of sequences annihilated by an irreducible q, and the
 brute-force period census of sequences generated by a power of a primitive
 polynomial.
@@ -14,8 +22,9 @@ from __future__ import annotations
 from .cyclicseq import CyclicSeq, LcResult, OpMeter
 from .gf2poly import (
     Poly2,
-    _divrem_int,
+    _compose,
     _gcd_int,
+    _mul_int,
     _pow_int,
     exponent,
     is_irreducible,
@@ -54,8 +63,20 @@ def gcd_method(s: CyclicSeq) -> LcResult:
     if s.bits == 0:
         return LcResult(0, "GcdMethod", meter, min_poly=Poly2(1))
     g = _gcd_int(s.bits, xn1)
-    f, rem = _divrem_int(xn1, g)
-    assert rem == 0
+    if g == 1:
+        f = xn1
+    else:
+        # f is 1/g mod x^k, k = N - deg g + 1 (x^N/g starts above f's degree).
+        # Newton: f = 1/g mod x^w gives g*f^2 = 1/g mod x^(2w), exact in
+        # characteristic 2 because 1/g - g*f^2 = (1 - g*f)^2 / g.
+        k = s.n - g.bit_length() + 2
+        f, w = 1, 1
+        while w < k:
+            w = min(2 * w, k)
+            mask = (1 << w) - 1
+            f = _mul_int(g & mask, _compose(f, 2)) & mask
+    if _mul_int(g, f) != xn1:
+        raise ArithmeticError(f"degree-{g.bit_length() - 1} gcd does not divide x^{s.n} - 1")
     deg = f.bit_length() - 1
     return LcResult(deg, "GcdMethod", meter, min_poly=Poly2(_reversed(f, deg)))
 
@@ -73,23 +94,25 @@ def berlekamp_massey(s: CyclicSeq) -> LcResult:
     n = s.n
     if s.bits == 0:
         return LcResult(0, "BerlekampMassey", meter, min_poly=Poly2(1))
-    length = 2 * n
     stream = s.bits | (s.bits << n)
-    # C tracks the connection polynomial, SC the carry-less product
-    # stream(x) * C(x); the discrepancy at step i is bit i of SC.
+    # C tracks the connection polynomial and B the one saved at step last.
+    # sc is stream(x) * C(x) shifted down by the step i, so the discrepancy
+    # is its low bit; sb is stream(x) * B(x) shifted down by last, so that
+    # adding x^(i - last) * B to C adds sb to sc unshifted.  last = -1
+    # starts sb at stream << 1.
     c_poly, b_poly = 1, 1
-    sc, sb = stream, stream
+    sc, sb = stream, stream << 1
     deg, last = 0, -1
-    for i in range(length):
-        if (sc >> i) & 1:
-            shift = i - last
+    for i in range(2 * n):
+        if sc & 1:
             if 2 * deg <= i:
-                c_poly, b_poly = c_poly ^ (b_poly << shift), c_poly
-                sc, sb = sc ^ (sb << shift), sc
+                c_poly, b_poly = c_poly ^ (b_poly << (i - last)), c_poly
+                sc, sb = sc ^ sb, sc
                 deg, last = i + 1 - deg, i
             else:
-                c_poly ^= b_poly << shift
-                sc ^= sb << shift
+                c_poly ^= b_poly << (i - last)
+                sc ^= sb
+        sc >>= 1
     # reverse the register taps into a monic degree-`deg` polynomial
     return LcResult(deg, "BerlekampMassey", meter, min_poly=Poly2(_reversed(c_poly, deg)))
 

@@ -26,6 +26,7 @@ from lcseq.lincomplex import (
     TAG_ODD_PRIME_POWER,
     TAG_ORACLE_FALLBACK,
     _fold,
+    _level_plan,
     _remainder_tree,
     choose_algorithm,
     find_delta,
@@ -702,6 +703,7 @@ def test_caches_are_bounded():
         choose_algorithm,
         factor_xn_minus_1,
         _remainder_tree,
+        _level_plan,
         gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
         gf2poly._is_irreducible_int,

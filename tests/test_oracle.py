@@ -1,8 +1,19 @@
 import pytest
 
+import lcseq.oracle
 from lcseq._rng import SplitMix64
 from lcseq.cyclicseq import CyclicSeq, apply_poly
-from lcseq.gf2poly import Poly2, exponent, gcd, is_irreducible, x_pow_n_minus_1
+from lcseq.gf2poly import (
+    Poly2,
+    _divrem_int,
+    _gcd_int,
+    _mod_int,
+    _mul_int,
+    exponent,
+    gcd,
+    is_irreducible,
+    x_pow_n_minus_1,
+)
 from lcseq.oracle import (
     InfeasibleSize,
     berlekamp_massey,
@@ -80,6 +91,40 @@ def test_oracle_agreement_randomized_larger():
         for _ in range(60):
             s = CyclicSeq(rng.getrandbits(n), n)
             assert gcd_method(s).key() == berlekamp_massey(s).key()
+
+
+@pytest.mark.parametrize("n", [1, 585, 1170, 2340])
+def test_oracles_against_long_division(n):
+    # zero; 1, whose gcd is 1; all ones, (x^N - 1)/(x + 1), whose quotient is
+    # x + 1; for 3 | N a multiple of (x^N - 1)/(x^3 - 1), whose gcd has degree
+    # above N/2; and five random inputs
+    rng = SplitMix64(n)
+    xn1 = (1 << n) | 1
+    ones = (1 << n) - 1
+    inputs = [0, 1, ones] + [rng.getrandbits(n) for _ in range(5)]
+    if n % 3 == 0:
+        multiple = _mod_int(_mul_int(rng.getrandbits(n), _divrem_int(xn1, 0b1001)[0]), xn1)
+        inputs.append(multiple)
+    complexity = {}
+    for bits in inputs:
+        s = CyclicSeq(bits, n)
+        res = gcd_method(s)
+        assert res.key() == berlekamp_massey(s).key(), (n, bits)
+        f, rem = _divrem_int(xn1, _gcd_int(bits, xn1) if bits else xn1)
+        assert rem == 0
+        assert res.key() == (f.bit_length() - 1, int(format(f, "b")[::-1], 2))
+        complexity[bits] = res.complexity
+    assert (complexity[1], complexity[ones]) == (n, 1)
+    if n % 3 == 0:
+        assert complexity[multiple] <= 3
+
+
+def test_gcd_method_checks_the_quotient(monkeypatch):
+    # x^2 + x + 1 does not divide x^8 - 1: the quotient check must raise, also
+    # under python -O
+    monkeypatch.setattr(lcseq.oracle, "_gcd_int", lambda a, b: 0b111)
+    with pytest.raises(ArithmeticError):
+        gcd_method(S("10110001"))
 
 
 def test_msequence_fixtures():
