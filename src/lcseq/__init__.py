@@ -1,100 +1,12 @@
 """lcseq: linear complexity and minimal polynomials of periodic binary
 sequences, with an instrumented bit-operation meter."""
 
-from .cyclicseq import (
-    CyclicSeq,
-    LcResult,
-    OpMeter,
-    apply_poly,
-    apply_poly_pow2,
-    halves,
-    is_zero,
-    minimal_period,
-    thirds,
-)
-from .gf2poly import (
-    DegreeCapExceeded,
-    Factorization,
-    FactorPower,
-    Poly2,
-    UnsupportedPeriod,
-    add,
-    divrem,
-    exponent,
-    factor_xn_minus_1,
-    gcd,
-    is_irreducible,
-    is_primitive,
-    mul,
-)
-from .lincomplex import (
-    AlgorithmChoice,
-    NotGeneratedBy,
-    bound_for,
-    choose_algorithm,
-    find_delta,
-    games_chan,
-    lc_3x2n,
-    lc_odd_composite,
-    lc_odd_prime_power,
-    lc_px2n,
-    min_poly_general,
-    ppp,
-    solve,
-    violates_bound,
-)
-from .oracle import (
-    InfeasibleSize,
-    berlekamp_massey,
-    enumerate_by_period,
-    gcd_method,
-    msequence,
-    sequence_family,
-)
+from . import cyclicseq, gf2poly, lincomplex, oracle
+from .cyclicseq import *
+from .gf2poly import *
+from .lincomplex import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CyclicSeq",
-    "OpMeter",
-    "Poly2",
-    "Factorization",
-    "FactorPower",
-    "LcResult",
-    "AlgorithmChoice",
-    "UnsupportedPeriod",
-    "DegreeCapExceeded",
-    "NotGeneratedBy",
-    "InfeasibleSize",
-    "add",
-    "mul",
-    "divrem",
-    "gcd",
-    "exponent",
-    "is_irreducible",
-    "is_primitive",
-    "factor_xn_minus_1",
-    "apply_poly",
-    "apply_poly_pow2",
-    "is_zero",
-    "halves",
-    "thirds",
-    "minimal_period",
-    "gcd_method",
-    "berlekamp_massey",
-    "msequence",
-    "sequence_family",
-    "enumerate_by_period",
-    "games_chan",
-    "ppp",
-    "find_delta",
-    "min_poly_general",
-    "lc_3x2n",
-    "lc_px2n",
-    "lc_odd_prime_power",
-    "lc_odd_composite",
-    "choose_algorithm",
-    "solve",
-    "bound_for",
-    "violates_bound",
-]
+__all__ = [*cyclicseq.__all__, *gf2poly.__all__, *lincomplex.__all__, *oracle.__all__]

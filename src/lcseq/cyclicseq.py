@@ -222,12 +222,4 @@ def thirds(s: CyclicSeq) -> tuple[CyclicSeq, CyclicSeq, CyclicSeq]:
 
 def minimal_period(s: CyclicSeq) -> int:
     """Smallest divisor d of n with s_i = s_{i+d} for all i."""
-    n = s.n
-    for d in _divisors(n):
-        if d == n:
-            break
-        mask = (1 << n) - 1
-        rot = ((s.bits >> d) | (s.bits << (n - d))) & mask
-        if rot == s.bits:
-            return d
-    return n
+    return next(d for d in _divisors(s.n) if s.rotated(d) == s)

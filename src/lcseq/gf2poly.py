@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from ._rng import SplitMix64
 
@@ -84,6 +85,11 @@ def _mul_int(a: int, b: int) -> int:
 def _compose(a: int, k: int) -> int:
     """a(x^k), which over GF(2) is also a^k when k is a power of two."""
     return int(("0" * (k - 1)).join(format(a, "b")), 2)
+
+
+def _reversed(bits: int, deg: int) -> int:
+    """x^deg * f(1/x): coefficient j moves to deg - j (needs deg f <= deg)."""
+    return int(format(bits, f"0{deg + 1}b")[::-1], 2)
 
 
 # The division loops read bit_length() once per quotient bit and carry the
@@ -197,13 +203,18 @@ def _euler_phi(m: int) -> int:
     return t
 
 
-def _mult_order(a: int, m: int) -> int:
-    """Multiplicative order of a modulo m (requires gcd(a, m) = 1)."""
-    t = _euler_phi(m)
+def _order(t: int, is_one: Callable[[int], bool]) -> int:
+    """Order of a group element from a multiple t of it; is_one(e) tells
+    whether the element raised to e is the identity."""
     for q in _factorize(t):
-        while t % q == 0 and pow(a, t // q, m) == 1:
+        while t % q == 0 and is_one(t // q):
             t //= q
     return t
+
+
+def _mult_order(a: int, m: int) -> int:
+    """Multiplicative order of a modulo m (requires gcd(a, m) = 1)."""
+    return _order(_euler_phi(m), lambda e: pow(a, e, m) == 1)
 
 
 def _divisors(m: int) -> list[int]:
@@ -351,12 +362,8 @@ def _exponent_int(fbits: int) -> int:
     f = Poly2(fbits)
     k = f.degree
     if _is_irreducible_int(fbits):
-        # the order of x divides 2^k - 1; peel prime factors off
-        e = (1 << k) - 1
-        for q in _factorize(e):
-            while e % q == 0 and _powmod_int(2, e // q, fbits) == 1:
-                e //= q
-        return e
+        # the order of x divides 2^k - 1
+        return _order((1 << k) - 1, lambda e: _powmod_int(2, e, fbits) == 1)
     # reducible: step x, x^2, ... until 1 (small inputs only)
     cur = _mod_int(2, fbits)
     e = 1
@@ -412,14 +419,10 @@ def is_primitive(f: Poly2) -> bool:
 # factorization of x^N - 1
 
 
-@dataclass(frozen=True)
-class FactorPower:
+class FactorPower(NamedTuple):
     poly: Poly2
     multiplicity: int  # alpha_i
     gamma: int  # smallest g with multiplicity <= 2^g
-
-    def __iter__(self):
-        return iter((self.poly, self.multiplicity, self.gamma))
 
 
 @dataclass(frozen=True)

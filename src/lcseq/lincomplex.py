@@ -56,6 +56,7 @@ from .gf2poly import (
     _factorize,
     _mod_int,
     _mul_int,
+    _reversed,
     _split_period,
     _support_gap,
     all_ones,
@@ -226,7 +227,7 @@ def _remainder_tree(d: int, t: int) -> tuple:
 
     def node(factors: tuple[Poly2, ...]) -> tuple:
         if len(factors) == 1:
-            r = int(format(factors[0].bits, "b")[::-1], 2)
+            r = _reversed(factors[0].bits, factors[0].degree)
             return (factors, *(divisor(_compose(r, 1 << j)) for j in range(t, -1, -1)))
         left, right = node(factors[: len(factors) // 2]), node(factors[len(factors) // 2 :])
         return factors, divisor(_mul_int(left[1][0], right[1][0])), left, right

@@ -26,6 +26,7 @@ from .gf2poly import (
     _gcd_int,
     _mul_int,
     _pow_int,
+    _reversed,
     exponent,
     is_irreducible,
     is_primitive,
@@ -43,11 +44,6 @@ __all__ = [
 
 class InfeasibleSize(ValueError):
     """Raised when a brute-force enumeration would be too large."""
-
-
-def _reversed(bits: int, deg: int) -> int:
-    """x^deg * f(1/x): coefficient j moves to deg - j (needs deg f <= deg)."""
-    return int(format(bits, f"0{deg + 1}b")[::-1], 2)
 
 
 def gcd_method(s: CyclicSeq) -> LcResult:
@@ -131,18 +127,10 @@ def msequence(f: Poly2) -> CyclicSeq:
     return CyclicSeq(bits & ((1 << length) - 1), length)
 
 
-def _canonical_rotation(bits: int, n: int) -> int:
+def _canonical_rotation(s: CyclicSeq) -> CyclicSeq:
     """Representative whose s_0-first bit string is lexicographically least."""
-    mask = (1 << n) - 1
-    best_bits = bits
-    best_str = format(bits, f"0{n}b")[::-1]
-    cur = bits
-    for _ in range(n - 1):
-        cur = ((cur >> 1) | (cur << (n - 1))) & mask
-        cand = format(cur, f"0{n}b")[::-1]
-        if cand < best_str:
-            best_str, best_bits = cand, cur
-    return best_bits
+    text = s.to_bits_str()
+    return CyclicSeq.from_bits_str(min(text[j:] + text[:j] for j in range(s.n)))
 
 
 def sequence_family(q: Poly2) -> set[CyclicSeq]:
@@ -170,7 +158,7 @@ def sequence_family(q: Poly2) -> set[CyclicSeq]:
             visited[state] = 1
             bits |= (state & 1) << i
             state = (state >> 1) | (((state & taps).bit_count() & 1) << (k - 1))
-        out.add(CyclicSeq(_canonical_rotation(bits, e), e))
+        out.add(_canonical_rotation(CyclicSeq(bits, e)))
     return out
 
 

@@ -321,6 +321,7 @@ def test_verify_flag_validation(capsys):
         ("verify", "--family", "pow2", "--exhaustive", "--n-max", "2", "--trials", "3"),
         ("verify", "--n", "4", "--exhaustive", "--trials", "5"),
         ("verify", "--n", "4", "--exhaustive", "--seed", "3"),
+        ("verify", "--n", "21", "--exhaustive"),
         ("verify", "--n", "6", "--n-max", "3"),
         # SplitMix64 keeps 64 bits of state: -1 would draw what 2^64 - 1 draws
         ("verify", "--n", "5", "--seed", "-1", "--trials", "2"),
@@ -371,6 +372,14 @@ def test_verify_golden_summary_per_mode(capsys, monkeypatch, mode):
     rep = json.loads(out)
     assert code == 1 and rep["bound_violations"] == want["checked"]
     assert rep["bound_violation_examples"] == first_drawn
+    # an oracle that disagrees on every input: the mismatch branch
+    monkeypatch.undo()
+    wrong = LcResult(-1, "Wrong", OpMeter(), min_poly=Poly2(1))
+    monkeypatch.setattr(cli, "gcd_method", lambda s: wrong)
+    code, out, err = run(capsys, "verify", *argv)
+    rep = json.loads(out)
+    assert code == 1 and rep["mismatches"] == want["checked"]
+    assert rep["mismatch_examples"] == first_drawn and rep["bound_violations"] == 0
 
 
 def test_composite_family_runs_out(capsys):

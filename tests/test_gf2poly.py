@@ -84,6 +84,10 @@ def test_exponent_examples():
     assert _exponent_brute(P("11111"), 5) == 5
     assert exponent(P("11001")) == 15
     assert _exponent_brute(P("11001"), 15) == 15
+    # reducible: the order of x is found by stepping
+    assert exponent(P("101")) == 2  # x^2+1
+    assert exponent(P("1001")) == 3  # x^3+1
+    assert exponent(P("10101")) == 6  # x^4+x^2+1 = (x^2+x+1)^2
 
 
 def test_exponent_errors():
@@ -133,6 +137,8 @@ def test_factor_unsupported():
         factor_xn_minus_1(7)  # 2 has order 3 mod 7
     with pytest.raises(UnsupportedPeriod):
         factor_xn_minus_1(21)
+    with pytest.raises(UnsupportedPeriod, match=r"2\^16"):
+        factor_xn_minus_1(65537)  # prime above the cap
 
 
 @functools.cache

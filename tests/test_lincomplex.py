@@ -68,11 +68,29 @@ def test_games_chan_rejects_non_power_of_two():
 
 
 def test_games_chan_bound_exhaustive_n8():
+    totals = []
     for bits in range(1 << 8):
         meter = OpMeter()
         r = games_chan(CyclicSeq(bits, 8), meter)
         assert meter.total() <= 8 + 3
         assert r.key() == gcd_method(CyclicSeq(bits, 8)).key()
+        totals.append(meter.total())
+    assert max(totals) == 10
+
+
+def test_games_chan_worst_case_exact():
+    # the single 1 leaves every halving step nonzero: N + n - 1, one below
+    # the bound N + n
+    for n in range(1, 17):
+        meter = OpMeter()
+        games_chan(CyclicSeq(1, 1 << n), meter)
+        assert meter.total() == (1 << n) + n - 1, n
+    worst = 0
+    for bits in range(1 << 16):
+        meter = OpMeter()
+        games_chan(CyclicSeq(bits, 16), meter)
+        worst = max(worst, meter.total())
+    assert worst == 19
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +129,11 @@ def test_ppp_rejects_ungenerated():
         ppp(P("111"), S("010"))
     with pytest.raises(ValueError):
         ppp(P("101"), S("0101"))  # reducible polynomial
+    # exponent(x^2+x+1) = 3: N = 8 is no multiple, N = 9 has odd quotient 3
+    with pytest.raises(UnsupportedPeriod, match="is not exponent"):
+        ppp(P("111"), S("0" * 8))
+    with pytest.raises(UnsupportedPeriod, match="is not a power of two"):
+        ppp(P("111"), S("0" * 9))
 
 
 def test_ppp_zero_sequence():
@@ -401,6 +424,7 @@ def test_lc_3x2n_examples():
 
 def test_lc_3x2n_exhaustive_small():
     for n in (3, 6, 12):
+        totals = []
         for bits in range(1 << n):
             s = CyclicSeq(bits, n)
             meter = OpMeter()
@@ -408,6 +432,9 @@ def test_lc_3x2n_exhaustive_small():
             assert r.key() == gcd_method(s).key(), (n, bits)
             n2 = (n // 3).bit_length() - 1
             assert meter.total() <= 7 * (1 << n2) + 2 * n2, (n, bits)
+            totals.append(meter.total())
+    # N = 12: bound 32, first reached at bits = 5
+    assert max(totals) == totals[5] == 25
 
 
 def test_lc_3x2n_rejects():
@@ -434,12 +461,15 @@ def test_lc_px2n_examples():
 
 
 def test_lc_px2n_exhaustive_n10():
+    totals = []
     for bits in range(1 << 10):
         s = CyclicSeq(bits, 10)
         meter = OpMeter()
         r = lc_px2n(5, s, meter)
         assert r.key() == gcd_method(s).key(), bits
         assert meter.total() <= 16.75 * 2 + 2
+        totals.append(meter.total())
+    assert max(totals) == 20
 
 
 def test_lc_px2n_p13_p29_random():
@@ -592,6 +622,7 @@ def test_lc_odd_prime_power_examples():
 
 
 def test_lc_odd_prime_power_exhaustive_9_and_bound():
+    totals = []
     for bits in range(1 << 9):
         s = CyclicSeq(bits, 9)
         meter = OpMeter()
@@ -599,6 +630,8 @@ def test_lc_odd_prime_power_exhaustive_9_and_bound():
         assert r.key() == gcd_method(s).key(), bits
         assert meter.xor_ops + meter.cmp_ops <= 18
         assert meter.counter_ops <= 2
+        totals.append(meter.total())
+    assert max(totals) == 18  # bound 20
 
 
 def test_lc_odd_prime_power_larger():
@@ -675,6 +708,9 @@ def test_dispatch_examples():
     assert choose_algorithm(15).tag == TAG_ODD_COMPOSITE
     assert choose_algorithm(18).tag == TAG_GENERAL
     assert choose_algorithm(13).tag == TAG_FAST_PX2N
+    assert choose_algorithm(65537).tag == TAG_ORACLE_FALLBACK  # prime above 2^16
+    with pytest.raises(ValueError):
+        choose_algorithm(0)
 
 
 def test_dispatch_census_below_3000():
