@@ -6,7 +6,9 @@ malformed input or flags, among them a --seed outside [0, 2^64) and a flag
 the chosen mode would not read (--poly without --algorithm ppp, a bits
 --len that disagrees with the bit count, --trials or --seed with verify
 --exhaustive, --n-max with verify --n), 3 unsupported period for a forced
-non-fallback algorithm, 4 infeasible enumeration.
+non-fallback algorithm or, with --algorithm ppp, a sequence that f^(2^n)
+does not generate (f the --poly, N = exponent(f) * 2^n), 4 infeasible
+enumeration.
 
 Randomized campaigns draw inputs from SplitMix64 (see _rng) so runs
 reproduce bit-for-bit across implementations given the same seed.
@@ -23,6 +25,7 @@ from ._rng import SplitMix64
 from .cyclicseq import CyclicSeq, LcResult
 from .gf2poly import Poly2, UnsupportedPeriod, factor_xn_minus_1, is_irreducible, is_primitive
 from .lincomplex import (
+    TAG_ODD_COMPOSITE,
     bound_for,
     choose_algorithm,
     games_chan,
@@ -64,17 +67,14 @@ def make_report(s: CyclicSeq, input_format: str, result: LcResult, elapsed_ns: i
     bound = bound_for(tag, s.n)
     ops = result.meter.as_dict()
     within = None if bound is None else not violates_bound(tag, s.n, result.meter)
-    deltas = None
-    if result.deltas is not None:
+    if result.deltas is None:
+        deltas, human = None, result.min_poly.to_human()
+    else:
         deltas = [
             {"factor_bits": q.to_bits_str(), "factor_human": q.to_human(), "exponent": d}
             for q, d in result.deltas
         ]
-    human = (
-        _human_factored(result.deltas)
-        if result.deltas is not None
-        else result.min_poly.to_human()
-    )
+        human = _human_factored(result.deltas)
     return {
         "n": s.n,
         "input_format": input_format,
@@ -199,8 +199,8 @@ def _campaign_length(n: int) -> int:
 
 def _family_lengths(family: str, n_max: int) -> list[int]:
     if family == "composite":
-        # only OddComposite lists primes: the support rule admits 15 ... 585
-        lengths = [m for m in range(5, 4098, 2) if choose_algorithm(m).primes]
+        # the support rule admits 15 ... 585
+        lengths = [m for m in range(5, 4098, 2) if choose_algorithm(m).tag == TAG_ODD_COMPOSITE]
         if len(lengths) < n_max:
             raise _UsageError(f"family 'composite' has only {len(lengths)} lengths, not {n_max}")
         return lengths[:n_max]
@@ -313,11 +313,9 @@ def cmd_bench(args) -> int:
 def cmd_enumerate(args) -> int:
     f = _read_poly(args.poly, is_primitive, "primitive")
     k = f.degree
-    if k * args.max_power > 20:
-        print("error: degree * max-power exceeds the brute-force cap 20", file=sys.stderr)
-        return EXIT_INFEASIBLE
     censuses = {0: {1: 1}}
-    for power in range(1, args.max_power + 1):
+    # largest power first: enumerate_by_period refuses it before any work
+    for power in range(args.max_power, 0, -1):
         censuses[power] = enumerate_by_period(f, power)
     rows = []
     all_pass = True

@@ -120,23 +120,26 @@ class OpMeter:
 class LcResult:
     """Linear complexity plus the minimal polynomial and meter snapshot.
 
-    The minimal polynomial is assembled lazily from the per-factor
-    exponents when an algorithm reports those instead of the product.
+    The complexity is the degree of the minimal polynomial: the sum of
+    deg(q) * e over the per-factor exponents when an algorithm reports
+    those, from which the product is then assembled lazily.
     """
 
     __slots__ = ("complexity", "algorithm", "meter", "deltas", "_min_poly")
 
     def __init__(
         self,
-        complexity: int,
         algorithm: str,
         meter: OpMeter,
         deltas: tuple[tuple[Poly2, int], ...] | None = None,
         min_poly: Poly2 | None = None,
     ):
-        if min_poly is None and deltas is None:
+        if deltas is not None:
+            self.complexity = sum(q.degree * e for q, e in deltas)
+        elif min_poly is not None:
+            self.complexity = min_poly.degree
+        else:
             raise ValueError("need the minimal polynomial or its factor exponents")
-        self.complexity = complexity
         self.algorithm = algorithm
         self.meter = meter
         self.deltas = deltas

@@ -441,11 +441,7 @@ class Factorization:
             seen.add(q.bits)
             if alpha < 1:
                 raise ValueError("multiplicity must be >= 1")
-            if alpha == 1:
-                ok = gamma == 0
-            else:
-                ok = (1 << (gamma - 1)) < alpha <= (1 << gamma)
-            if not ok:
+            if gamma != (alpha - 1).bit_length():  # ceil(log2(alpha))
                 raise ValueError("gamma is not the ceiling exponent of alpha")
         if _product_of_powers((q.bits, alpha) for q, alpha, _ in self.factors) != (1 << n) | 1:
             raise ValueError("factor product does not reproduce x^N - 1")

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2, is_zero
+from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2
 from .gf2poly import (
     Factorization,
     Poly2,
@@ -166,7 +166,7 @@ def games_chan(s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
         raise UnsupportedPeriod(s.n, "Games-Chan needs a power-of-two length")
     meter = meter if meter is not None else OpMeter()
     c = _gc_int(s.bits, s.n, meter, fresh=False)
-    return LcResult(c, TAG_GAMES_CHAN, meter, deltas=((X_PLUS_1, c),))
+    return LcResult(TAG_GAMES_CHAN, meter, deltas=((X_PLUS_1, c),))
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +190,11 @@ def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcRe
         raise UnsupportedPeriod(s.n, f"length / exponent({f.to_human()}) is not a power of two")
     n = q.bit_length() - 1
     if s.bits == 0:
-        return 0, LcResult(0, TAG_PPP, meter, deltas=((f, 0),))
-    if not is_zero(apply_poly_pow2(f, n, s, meter), meter, fused=True):
+        return 0, LcResult(TAG_PPP, meter, deltas=((f, 0),))
+    if apply_poly_pow2(f, n, s, meter).bits:  # a fused zero test is free
         raise NotGeneratedBy(f"sequence is not generated by ({f.to_human()})^{1 << n}")
     m = _gc_int(s.bits, s.n, meter, False, e)
-    return m, LcResult(f.degree * m, TAG_PPP, meter, deltas=((f, m),))
+    return m, LcResult(TAG_PPP, meter, deltas=((f, m),))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +322,6 @@ def find_delta(
     return delta, s
 
 
-def _general_engine(s: CyclicSeq, meter: OpMeter, tag: str) -> LcResult:
-    deltas = _level_deltas(s, meter)
-    complexity = sum(q.degree * d for q, d in deltas)
-    return LcResult(complexity, tag, meter, deltas=deltas)
-
-
 def min_poly_general(
     s: CyclicSeq, fac: Factorization, meter: OpMeter | None = None
 ) -> LcResult:
@@ -340,7 +334,7 @@ def min_poly_general(
     if fac != factor_xn_minus_1(s.n):
         raise ValueError("factorization does not match the sequence length")
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, meter, TAG_GENERAL)
+    return LcResult(TAG_GENERAL, meter, _level_deltas(s, meter))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +432,7 @@ def lc_px2n(p: int, s: CyclicSeq, meter: OpMeter | None = None) -> LcResult:
         raise UnsupportedPeriod(s.n, f"length is not {p} * 2^n with p in a fast family")
     meter = meter if meter is not None else OpMeter()
     i, j = _px2n_engine(p, s.bits, choice.n, meter)
-    return LcResult((p - 1) * i + j, choice.tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
+    return LcResult(choice.tag, meter, deltas=((all_ones(p), i), (X_PLUS_1, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +461,7 @@ def lc_odd_prime_power(
     levels = tuple(
         (Poly2(_cyclotomic_factors(p**j)[0]), digits // p ** (j - 1) % p) for j in range(1, n + 1)
     )
-    return LcResult(c, TAG_ODD_PRIME_POWER, meter, deltas=((X_PLUS_1, top),) + levels)
+    return LcResult(TAG_ODD_PRIME_POWER, meter, deltas=((X_PLUS_1, top),) + levels)
 
 
 def lc_odd_composite(
@@ -479,7 +473,7 @@ def lc_odd_composite(
         raise UnsupportedPeriod(s.n, "prime list does not match an odd length")
     factor_xn_minus_1(s.n)  # raises UnsupportedPeriod outside the supported families
     meter = meter if meter is not None else OpMeter()
-    return _general_engine(s, meter, TAG_ODD_COMPOSITE)
+    return LcResult(TAG_ODD_COMPOSITE, meter, _level_deltas(s, meter))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +485,6 @@ class AlgorithmChoice:
     tag: str
     p: int | None = None
     n: int | None = None
-    primes: tuple[tuple[int, int], ...] | None = None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -519,14 +512,7 @@ def choose_algorithm(n: int) -> AlgorithmChoice:
             return AlgorithmChoice(TAG_ODD_PRIME_POWER, p=p, n=k)
     if n >= 1 << 32:
         return AlgorithmChoice(TAG_ORACLE_FALLBACK)
-    if two_part == 0:
-        return AlgorithmChoice(TAG_ODD_COMPOSITE, primes=tuple(sorted(fac_odd.items())))
-    return AlgorithmChoice(TAG_GENERAL)
-
-
-def _oracle_fallback(choice: AlgorithmChoice, s: CyclicSeq, meter: OpMeter) -> LcResult:
-    res = gcd_method(s)
-    return LcResult(res.complexity, TAG_ORACLE_FALLBACK, meter, min_poly=res.min_poly)
+    return AlgorithmChoice(TAG_GENERAL if two_part else TAG_ODD_COMPOSITE)
 
 
 @dataclass(frozen=True)
@@ -558,9 +544,11 @@ _ALGORITHMS = {
         lambda c, s, m: lc_odd_prime_power(c.p, c.n, s, m),
         lambda n, p, n2: 2 * n + sum(_factorize(p).values()),
     ),
-    TAG_ODD_COMPOSITE: _Algorithm(lambda c, s, m: _general_engine(s, m, TAG_ODD_COMPOSITE)),
-    TAG_GENERAL: _Algorithm(lambda c, s, m: _general_engine(s, m, TAG_GENERAL), fast=False),
-    TAG_ORACLE_FALLBACK: _Algorithm(_oracle_fallback, fast=False),
+    TAG_ODD_COMPOSITE: _Algorithm(lambda c, s, m: LcResult(c.tag, m, _level_deltas(s, m))),
+    TAG_GENERAL: _Algorithm(lambda c, s, m: LcResult(c.tag, m, _level_deltas(s, m)), fast=False),
+    TAG_ORACLE_FALLBACK: _Algorithm(
+        lambda c, s, m: LcResult(c.tag, m, min_poly=gcd_method(s).min_poly), fast=False
+    ),
 }
 
 
@@ -594,9 +582,7 @@ def violates_bound(tag: str, n: int, meter: OpMeter) -> bool:
     Odd prime powers are checked as the paper states them: data operations
     within 2N and at most one counter addition per level.
     """
-    if tag == TAG_ODD_PRIME_POWER:
-        return (meter.xor_ops + meter.cmp_ops > 2 * n) or (
-            meter.counter_ops > sum(_factorize(n).values())
-        )
     b = bound_for(tag, n)
+    if tag == TAG_ODD_PRIME_POWER:
+        return meter.xor_ops + meter.cmp_ops > 2 * n or meter.counter_ops > b - 2 * n
     return b is not None and meter.total() > b

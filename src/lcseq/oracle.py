@@ -57,7 +57,7 @@ def gcd_method(s: CyclicSeq) -> LcResult:
     meter = OpMeter()
     xn1 = (1 << s.n) | 1
     if s.bits == 0:
-        return LcResult(0, "GcdMethod", meter, min_poly=Poly2(1))
+        return LcResult("GcdMethod", meter, min_poly=Poly2(1))
     g = _gcd_int(s.bits, xn1)
     if g == 1:
         f = xn1
@@ -73,8 +73,7 @@ def gcd_method(s: CyclicSeq) -> LcResult:
             f = _mul_int(g & mask, _compose(f, 2)) & mask
     if _mul_int(g, f) != xn1:
         raise ArithmeticError(f"degree-{g.bit_length() - 1} gcd does not divide x^{s.n} - 1")
-    deg = f.bit_length() - 1
-    return LcResult(deg, "GcdMethod", meter, min_poly=Poly2(_reversed(f, deg)))
+    return LcResult("GcdMethod", meter, min_poly=Poly2(_reversed(f, f.bit_length() - 1)))
 
 
 def berlekamp_massey(s: CyclicSeq) -> LcResult:
@@ -89,7 +88,7 @@ def berlekamp_massey(s: CyclicSeq) -> LcResult:
     meter = OpMeter()
     n = s.n
     if s.bits == 0:
-        return LcResult(0, "BerlekampMassey", meter, min_poly=Poly2(1))
+        return LcResult("BerlekampMassey", meter, min_poly=Poly2(1))
     stream = s.bits | (s.bits << n)
     # C tracks the connection polynomial and B the one saved at step last.
     # sc is stream(x) * C(x) shifted down by the step i, so the discrepancy
@@ -110,7 +109,7 @@ def berlekamp_massey(s: CyclicSeq) -> LcResult:
                 sc ^= sb
         sc >>= 1
     # reverse the register taps into a monic degree-`deg` polynomial
-    return LcResult(deg, "BerlekampMassey", meter, min_poly=Poly2(_reversed(c_poly, deg)))
+    return LcResult("BerlekampMassey", meter, min_poly=Poly2(_reversed(c_poly, deg)))
 
 
 def msequence(f: Poly2) -> CyclicSeq:

@@ -125,7 +125,7 @@ def test_report_within_bound_is_violates_bound():
     # summed bound 2N + n but breaks the paper's split bound
     s = CyclicSeq(0, 9)
     meter = OpMeter(xor_ops=2 * 9 + 1)
-    res = LcResult(0, TAG_ODD_PRIME_POWER, meter, min_poly=Poly2(1))
+    res = LcResult(TAG_ODD_PRIME_POWER, meter, min_poly=Poly2(1))
     rep = make_report(s, "bits", res, 0)
     assert rep["ops"]["total"] <= rep["bound"] == 20
     assert violates_bound(TAG_ODD_PRIME_POWER, 9, meter)
@@ -139,6 +139,10 @@ def test_compute_unsupported_exit_3(capsys):
     assert code == 3  # N=7 has no fast family
     code, out, err = run(capsys, "compute", "--seq", "0011010", "--algorithm", "general")
     assert code == 3
+    # N = 3 = exponent(x^2+x+1) * 2^0, but x^2+x+1 does not annihilate 010
+    code, out, err = run(capsys, "compute", "--seq", "010", "--algorithm", "ppp", "--poly", "111")
+    assert code == 3 and not out
+    assert err == "error: sequence is not generated by (x^2+x+1)^1\n"
 
 
 def test_compute_ppp_with_poly(capsys):
@@ -239,6 +243,21 @@ _GOLDEN_FORCED = [
 ]
 
 
+# The zero sequence at one length per dispatch path: complexity 0 and the
+# empty product "1", also where the report lists every factor's exponent.
+_GOLDEN_ZERO = [
+    ("0000", _golden(
+        4, "GamesChan", 0, "1", "1", [_delta("11", "x+1", 0)], _ops(3, 1, 0), 6, True)),
+    ("000000", _golden(
+        6, "Fast3x2n", 0, "1", "1", [_delta("111", "x^2+x+1", 0), _delta("11", "x+1", 0)],
+        _ops(7, 0, 0), 16, True)),
+    ("0" * 15, _golden(
+        15, "OddComposite", 0, "1", "1", [{**d, "exponent": 0} for d in _LEVELS_15],
+        _ops(62, 0, 0))),
+    ("0" * 7, _golden(7, "OracleFallback", 0, "1", "1", None, _ops(0, 0, 0))),
+]
+
+
 def _report_text(capsys, *argv):
     rep = run_json(capsys, "compute", "--seq", *argv)
     del rep["elapsed_ns"]
@@ -246,7 +265,10 @@ def _report_text(capsys, *argv):
 
 
 @pytest.mark.parametrize(
-    "seq, want", _GOLDEN_AUTO, ids=[want["algorithm"] for _, want in _GOLDEN_AUTO]
+    "seq, want",
+    _GOLDEN_AUTO + _GOLDEN_ZERO,
+    ids=[want["algorithm"] for _, want in _GOLDEN_AUTO]
+    + [want["algorithm"] + "-zero" for _, want in _GOLDEN_ZERO],
 )
 def test_compute_golden_report_per_tag(capsys, seq, want):
     assert _report_text(capsys, seq) == json.dumps(want)
@@ -374,7 +396,8 @@ def test_verify_golden_summary_per_mode(capsys, monkeypatch, mode):
     assert rep["bound_violation_examples"] == first_drawn
     # an oracle that disagrees on every input: the mismatch branch
     monkeypatch.undo()
-    wrong = LcResult(-1, "Wrong", OpMeter(), min_poly=Poly2(1))
+    # x^2 has constant term 0, so its key (2, 4) is no minimal polynomial's
+    wrong = LcResult("Wrong", OpMeter(), min_poly=Poly2(0b100))
     monkeypatch.setattr(cli, "gcd_method", lambda s: wrong)
     code, out, err = run(capsys, "verify", *argv)
     rep = json.loads(out)
@@ -503,7 +526,8 @@ def test_enumerate_rejects_non_primitive(capsys):
 
 def test_enumerate_infeasible_exit_4(capsys):
     code, out, err = run(capsys, "enumerate", "--poly", "111", "--max-power", "11")
-    assert code == 4 and err
+    assert code == 4 and not out
+    assert err == "error: enumerate_by_period caps degree * power at 20\n"
 
 
 # ---------------------------------------------------------------------------
@@ -527,3 +551,35 @@ def test_cli_imports_only_the_standard_library():
         and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+_CACHE_PROBE = """
+import json, sys
+sys.path.insert(0, {source!r})
+import lcseq.cli
+from lcseq import gf2poly, lincomplex
+caches = {{name: fn for module in (gf2poly, lincomplex)
+          for name, fn in vars(module).items() if hasattr(fn, "cache_info")}}
+after_import = {{name: fn.cache_info().currsize for name, fn in caches.items()}}
+for n in range(2, 2401):
+    lincomplex.choose_algorithm(n)
+after_dispatch = {{name: fn.cache_info().currsize for name, fn in caches.items()}}
+print(json.dumps([after_import, after_dispatch]))
+"""
+
+
+def test_dispatch_is_number_theory_only():
+    # importing the CLI fills no cache, and choosing an algorithm factors no
+    # polynomial: both stay off the one-off cost every compute process pays
+    source = str(Path(lcseq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", _CACHE_PROBE.format(source=source)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_dispatch = json.loads(proc.stdout)
+    assert "choose_algorithm" in after_import and "factor_xn_minus_1" in after_import
+    assert set(after_import.values()) == {0}, after_import
+    factoring = ("factor_xn_minus_1", "_cyclotomic_factors", "_remainder_tree", "_level_plan",
+                 "_exponent_int", "_is_irreducible_int")
+    assert {name: after_dispatch[name] for name in factoring} == dict.fromkeys(factoring, 0)

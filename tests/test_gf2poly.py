@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lcseq.gf2poly import (
     DEGREE_CAP,
     DegreeCapExceeded,
+    FactorPower,
+    Factorization,
     Poly2,
     UnsupportedPeriod,
     _compose,
@@ -139,6 +141,21 @@ def test_factor_unsupported():
         factor_xn_minus_1(21)
     with pytest.raises(UnsupportedPeriod, match=r"2\^16"):
         factor_xn_minus_1(65537)  # prime above the cap
+
+
+def test_factorization_validate_failures():
+    fac = factor_xn_minus_1(6)  # (x+1)^2 (x^2+x+1)^2, gamma 1 each
+    fac.validate()
+    polys = [q for q, _, _ in fac.factors]
+    for factors, message in (
+        (fac.factors + fac.factors[:1], "repeated irreducible factor"),
+        (tuple(FactorPower(q, 0, 0) for q in polys), "multiplicity must be >= 1"),
+        (tuple(FactorPower(q, 2, 0) for q in polys), "gamma is not the ceiling exponent of alpha"),
+        (tuple(FactorPower(q, 1, 0) for q in polys), "factor product does not reproduce x^N - 1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Factorization(6, factors).validate()
+        assert str(exc.value) == message
 
 
 @functools.cache

@@ -28,6 +28,7 @@ from lcseq.lincomplex import (
     _fold,
     _level_plan,
     _remainder_tree,
+    bound_for,
     choose_algorithm,
     find_delta,
     games_chan,
@@ -470,6 +471,24 @@ def test_lc_px2n_exhaustive_n10():
         assert meter.total() <= 16.75 * 2 + 2
         totals.append(meter.total())
     assert max(totals) == 20
+
+
+# The exhaustive maximum at N = 20 is 49 metered operations, 47 XORs and 2
+# counter additions, against the bound 71; these are the first 8 of the
+# 128 inputs that reach it.
+_PX2N_N20_WORST = (6483, 12966, 20153, 25932, 40306, 46727, 51864, 57709)
+
+
+def test_lc_px2n_worst_case_n20():
+    assert S("11001010100110000000") == CyclicSeq(_PX2N_N20_WORST[0], 20)
+    assert bound_for(TAG_FAST_PX2N, 20) == 71
+    for bits in _PX2N_N20_WORST:
+        s = CyclicSeq(bits, 20)
+        meter = OpMeter()
+        r = lc_px2n(5, s, meter)
+        assert r.key() == gcd_method(s).key(), bits
+        assert (meter.xor_ops, meter.cmp_ops, meter.counter_ops) == (47, 0, 2), bits
+        assert meter.total() == 49
 
 
 def test_lc_px2n_p13_p29_random():
