@@ -38,8 +38,9 @@ Each shift-XOR is charged where it is computed (``_diff``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2
@@ -216,48 +217,100 @@ def _reduce(a: int, width: int, divisor: tuple, meter: OpMeter) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _remainder_tree(d: int, t: int) -> tuple:
-    """Remainder tree over the factors q of Phi_d, ascending: node (factors, divisor, left,
-    right), divisor = (product of the reciprocals q*)(x^(2^t)); leaf (factors, q*(x^(2^t)),
-    ..., q*(x^2), q*).  Each divisor is a (g, exps) record for _reduce."""
+def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
+    """The factors of Phi_d, ascending, and the root of their remainder tree at
+    width W = d * 2^t.
+
+    Node (indices, divisor, *children), the indices of the factors q under
+    it and divisor = (product of their reciprocals q*)(x^(2^t)); leaf ((i,),
+    q*(x^(2^t)), ..., q*(x^2), q*).  Each divisor is a (g, exps) record for
+    _reduce.  Phi_d(x) = Phi_r(x^(d/r)) with r the product of d's primes, so
+    each factor g of Phi_r lifts to g(x^(d/r)), of g's weight, a product of
+    factors of Phi_d: the tree halves over these lifts, in Phi_r's order,
+    then over the factors under each (for r = d, over the factors).  Above
+    the root, a chain of one-child nodes divides by the sparse multiples
+    Phi_P(x^(W/P)) of the root's divisor, P the product of a growing set of
+    d's primes: the chain charged least on a width-W input, perhaps none.
+    """
 
     def divisor(g: int) -> tuple:  # g, with its terms' exponents if its top gap exceeds its weight
-        exps = [e for e in range(g.bit_length()) if g >> e & 1]
-        return g, exps if exps[-1] - exps[-2] > len(exps) else None
+        top = g.bit_length() - 1
+        if top - (g ^ 1 << top).bit_length() < g.bit_count():
+            return g, None
+        exps, rest = [], g
+        while rest:
+            exps.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        return g, exps
 
-    def node(factors: tuple[Poly2, ...]) -> tuple:
-        if len(factors) == 1:
-            r = _reversed(factors[0].bits, factors[0].degree)
-            return (factors, *(divisor(_compose(r, 1 << j)) for j in range(t, -1, -1)))
-        left, right = node(factors[: len(factors) // 2]), node(factors[len(factors) // 2 :])
-        return factors, divisor(_mul_int(left[1][0], right[1][0])), left, right
+    def node(groups: tuple[tuple[int, ...], ...]) -> tuple:
+        if len(groups) > 1:
+            left, right = node(groups[: len(groups) // 2]), node(groups[len(groups) // 2 :])
+            return left[0] + right[0], divisor(_mul_int(left[1][0], right[1][0])), left, right
+        if len(groups[0]) > 1:
+            return node(tuple((i,) for i in groups[0]))
+        q = factors[groups[0][0]]
+        r = _reversed(q, q.bit_length() - 1)
+        return (groups[0], *(divisor(_compose(r, 1 << j)) for j in range(t, -1, -1)))
 
-    return node(tuple(map(Poly2, _cyclotomic_factors(d))))
+    factors = _cyclotomic_factors(d)
+    primes = list(_factorize(d))
+    rad = math.prod(primes)
+    lifts = [_compose(g, d // rad) for g in _cyclotomic_factors(rad)]
+    groups = [[] for _ in lifts]
+    for i, q in enumerate(factors):
+        next(group for g, group in zip(lifts, groups) if not _mod_int(g, q)).append(i)
+    tree = node(tuple(map(tuple, groups)))
+
+    # sparse[S]: Phi_P(x^(W/P)) for the set S of primes (a bit mask), P their
+    # product; the full set's is the root's divisor, the empty set's x^W.
+    # cost[S]: the charge and the sets of the cheapest chain from width W
+    # down to S's multiple
+    width, full = d << t, (1 << len(primes)) - 1
+    sparse, cost = {0: 1 << width}, {0: (0, ())}
+    for mask in range(1, full + 1):
+        product = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        g = sparse[mask] = (
+            tree[1][0] if mask == full
+            else _compose(reduce(_mul_int, _cyclotomic_factors(product)), width // product)
+        )
+        cost[mask] = min(
+            (cost[s][0] + (sparse[s].bit_length() - g.bit_length()) * (g.bit_count() - 1),
+             cost[s][1] + (mask,))
+            for s in range(mask) if s & mask == s
+        )
+    for mask in reversed(cost[full][1][:-1]):
+        tree = tree[0], divisor(sparse[mask]), tree
+    return tuple(map(Poly2, factors)), tree
 
 
-def _remainder_deltas(node: tuple, y: int, width: int, meter: OpMeter, deltas: list) -> None:
-    """Append the exponent of each factor under node, y being fresh bits of the width.
+def _remainder_deltas(
+    node: tuple, y: int, width: int, meter: OpMeter, exps: list, fresh: bool = True
+) -> None:
+    """Set the exponent of each factor under node, y being bits of the width.
 
     y mod the node's divisor keeps each q*'s multiplicity up to 2^t, so a zero
-    remainder gives every q under it exponent 0.  A leaf's r = q* divides by
-    r(x^(2^j)), j = t-1 .. 0: an exact division adds 2^j to the multiplicity
-    v and keeps the quotient.  q's exponent is 2^t - v."""
-    factors, divisor, *below = node
-    y = y and _reduce(y, width, divisor, meter)
+    remainder leaves every q under it at exponent 0; the zero test of
+    ``fresh`` bits, just produced by charged XORs, is free.  A leaf's r = q*
+    divides by r(x^(2^j)), j = t-1 .. 0: an exact division adds 2^j to the
+    multiplicity v and keeps the quotient.  q's exponent is 2^t - v."""
+    indices, divisor, *below = node
+    if y or not fresh:
+        y = _reduce(y, width, divisor, meter)
     width = divisor[0].bit_length() - 1
     if not y:
-        deltas.extend((q, 0) for q in factors)
-    elif len(factors) > 1:
+        return
+    if len(indices) > 1:
         for child in below:
-            _remainder_deltas(child, y, width, meter, deltas)
-    else:
-        v = 0
-        for r in below:
-            rem = _reduce(y, width, r, meter)
-            width = r[0].bit_length() - 1
-            v += v + (not rem)
-            y = rem or _divrem_int(y, r[0])[0]
-        deltas.append((factors[0], (1 << len(below)) - v))
+            _remainder_deltas(child, y, width, meter, exps)
+        return
+    v = 0
+    for r in below:
+        rem = _reduce(y, width, r, meter)
+        width = r[0].bit_length() - 1
+        v += v + (not rem)
+        y = rem or _divrem_int(y, r[0])[0]
+    exps[indices[0]] = (1 << len(below)) - v
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -274,10 +327,13 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
 
     N = m * 2^t, m odd.  For each d | m, decreasing, s folds onto width
     d * 2^t from the fold of d * p, p the smallest prime of m/d, at
-    (p - 1) * width XORs.  Then, level by level, adding the rotation by
-    width/p for each prime p | d kills the levels below Phi_d and is a unit
-    on it.  Block Games-Chan reads an irreducible level, a remainder tree a
-    reducible one; a zero level, fresh bits, is a free test.
+    (p - 1) * width XORs.  Then, level by level: on an irreducible level,
+    adding the rotation by width/p for each prime p | d kills the levels
+    below Phi_d and is a unit on it, and block Games-Chan reads the result.
+    A reducible level's remainder tree reads the fold itself, since its root
+    divides out every other level.  A zero fold, fresh bits, is a free test;
+    the input's own bits at d = m are not fresh.  Each level's exponents
+    come in the order of its factors.
     """
     m, t = _split_period(s.n)
     plan = _level_plan(m)
@@ -288,12 +344,15 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
     deltas = []
     for d, _, primes in plan:
         width, y = d << t, folds[d]
-        for p in primes:
-            y = _diff(y | y << width, width // p, width, meter)
         factors = _cyclotomic_factors(d)
         if len(factors) > 1:
-            _remainder_deltas(_remainder_tree(d, t), y, width, meter, deltas)
+            polys, tree = _remainder_tree(d, t)
+            exps = [0] * len(polys)
+            _remainder_deltas(tree, y, width, meter, exps, d < m)
+            deltas += zip(polys, exps)
         else:
+            for p in primes:
+                y = _diff(y | y << width, width // p, width, meter)
             deltas.append((Poly2(factors[0]), y and _gc_int(y, width, meter, True, d)))
     return tuple(deltas)
 

@@ -218,7 +218,7 @@ _GOLDEN_AUTO = [
         _ops(16, 0, 2), 20, True)),
     ("100101110010011", _golden(
         15, "OddComposite", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
-        _ops(120, 0, 0))),
+        _ops(70, 0, 0))),
     ("101100111000101101", _golden(
         18, "General", 16, "10101010101010101", "(x^2+x+1)^2(x^6+x^3+1)^2",
         [_delta("11", "x+1", 0), _delta("111", "x^2+x+1", 2),
@@ -231,7 +231,7 @@ _GOLDEN_AUTO = [
 _GOLDEN_FORCED = [
     (("100101110010011", "--algorithm", "general"), _golden(
         15, "General", 14, "111111111111111", _HUMAN_15, _LEVELS_15,
-        _ops(120, 0, 0))),
+        _ops(70, 0, 0))),
     (("100110", "--algorithm", "gcd"), _golden(
         6, "GcdMethod", 6, "1000001", "x^6+1", None, _ops(0, 0, 0))),
     (("011010001101", "--algorithm", "bm"), _golden(
@@ -253,7 +253,7 @@ _GOLDEN_ZERO = [
         _ops(7, 0, 0), 16, True)),
     ("0" * 15, _golden(
         15, "OddComposite", 0, "1", "1", [{**d, "exponent": 0} for d in _LEVELS_15],
-        _ops(62, 0, 0))),
+        _ops(42, 0, 0))),
     ("0" * 7, _golden(7, "OracleFallback", 0, "1", "1", None, _ops(0, 0, 0))),
 ]
 
@@ -469,8 +469,8 @@ _GOLDEN_BENCH = {
                 "ops_max": 55, "ops_mean": 55.0, "bound": 57,
                 "beta_max": 2.037037037037037}),
     "composite": (3, {"family": "composite", "N": 39, "algorithm": "OddComposite",
-                      "trials": 3, "ops_max": 590, "ops_mean": 590.0, "bound": None,
-                      "beta_max": 15.128205128205128}),
+                      "trials": 3, "ops_max": 330, "ops_mean": 330.0, "bound": None,
+                      "beta_max": 8.461538461538462}),
 }
 
 

@@ -308,10 +308,26 @@ def test_level_engine_bound_on_irreducible_levels():
     assert checked == 150 * 22
 
 
+def _below_chain(tree):
+    """The divisors of the sparse chain above a remainder tree, and its root."""
+    chain = []
+    while len(tree) == 3 and len(tree[0]) > 1:  # a one-child node over several factors
+        chain.append(tree[1])
+        tree = tree[2]
+    return chain, tree
+
+
 def _largest_level(n):
     m, t = gf2poly._split_period(n)
     d = max(gf2poly._divisors(m), key=lambda k: len(gf2poly._cyclotomic_factors(k)))
-    return _remainder_tree(d, t), t
+    polys, tree = _remainder_tree(d, t)
+    return d, polys, _below_chain(tree)[1], t
+
+
+def _projected(n, t, subset, rng):
+    """A seeded input of length n projected onto the factors in subset."""
+    product = math.prod(subset, start=Poly2(1))
+    return apply_poly(x_pow_n_minus_1(n) // product ** (1 << t), CyclicSeq(rng.getrandbits(n), n))
 
 
 def test_level_engine_structured_reducible_levels():
@@ -323,16 +339,14 @@ def test_level_engine_structured_reducible_levels():
     rng = SplitMix64(37)
     lengths = []
     for n in _level_engine_lengths():
-        (factors, _, *below), t = _largest_level(n)
-        if len(factors) <= 2:
+        _, polys, root, t = _largest_level(n)
+        if len(polys) <= 2:
             continue
         lengths.append(n)
-        left, right = below
-        xn1 = x_pow_n_minus_1(n)
-        subsets = [factors[:1], left[0], right[0], factors[1:]]
-        for subset in subsets:
-            product = math.prod(subset, start=Poly2(1))
-            s = apply_poly(xn1 // product ** (1 << t), CyclicSeq(rng.getrandbits(n), n))
+        indices, _, left, right = root
+        for subset in (indices[:1], left[0], right[0], indices[1:]):
+            subset = [polys[i] for i in subset]
+            s = _projected(n, t, subset, rng)
             r = solve(s)
             assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), (n, subset)
             assert all((e > 0) == (q in subset) for q, e in r.deltas), (n, subset)
@@ -346,9 +360,9 @@ def test_level_engine_structured_reducible_levels():
     # either order; e is read off the gcd oracle, and is 2^t for most inputs
     partial = 0
     for n in (60, 260, 780, 1248, 1920, 2340):
-        (factors, *_), t = _largest_level(n)
-        assert len(factors) > 1 and t >= 2, n
-        for q in (factors[0], factors[-1]):
+        _, polys, _, t = _largest_level(n)
+        assert len(polys) > 1 and t >= 2, n
+        for q in (polys[0], polys[-1]):
             for v in (1, 1 << (t - 1), (1 << t) - 1):
                 s = CyclicSeq(rng.getrandbits(n), n)
                 f, e = gcd_method(s).min_poly, 0
@@ -360,17 +374,87 @@ def test_level_engine_structured_reducible_levels():
                 assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), (n, q, v)
                 partial += 0 < e - v
     assert partial == 36
+    # one lifted group: the factors of Phi_d dividing g(x^(d/r)) for the first
+    # factor g of Phi_r, r the product of d's primes.  The tree has a node
+    # over exactly these, so the input leaves every other lift's node a zero
+    # remainder and this node a nonzero one
+    lifted = []
+    for n in lengths:
+        d, polys, root, t = _largest_level(n)
+        rad = math.prod(gf2poly._factorize(d))
+        lift = Poly2(gf2poly._compose(gf2poly._cyclotomic_factors(rad)[0], d // rad))
+        group = [q for q in polys if q.divides(lift)]
+        if not 1 < len(group) < len(polys):
+            continue
+        lifted.append(n)
+        nodes, index_sets = [root], []
+        while nodes:
+            node = nodes.pop()
+            index_sets.append(set(node[0]))
+            if len(node[0]) > 1:
+                nodes += node[2:]
+        assert {polys.index(q) for q in group} in index_sets, n
+        s = _projected(n, t, group, rng)
+        r = solve(s)
+        assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), n
+        assert all((e > 0) == (q in group) for q, e in r.deltas), n
+    assert lifted == [117, 234, 468, 585, 936, 1170, 1872, 2340]
 
 
 def test_level_engine_meter_target_585_family():
-    # the 585 family's < 200 ops/bit target: with chained folds and the
-    # remainder tree, random inputs cost about 131-135 ops/bit
+    # the 585 family's < 60 ops/bit target, and < 50 for the 195 family: with
+    # the sparse chain and the lifted tree the worst of these inputs costs
+    # 52.0 and 40.0 ops/bit
     rng = SplitMix64(41)
-    for n in (585, 1170, 2340):
-        for s in _level_engine_inputs(n, rng, 10):
-            meter = OpMeter()
-            solve(s, meter)
-            assert meter.total() < 200 * n, (n, meter)
+    for family, target in (((585, 1170, 2340), 60), ((195, 390, 780, 1560), 50)):
+        for n in family:
+            for s in _level_engine_inputs(n, rng, 10):
+                meter = OpMeter()
+                solve(s, meter)
+                assert meter.total() < target * n, (n, meter)
+
+
+def test_level_engine_deltas_in_factorization_order():
+    # a lifted tree visits its factors grouped by the lifts; the exponents
+    # still come in factor_xn_minus_1's order at every length up to 2400
+    rng = SplitMix64(43)
+    lengths = [n for n in _level_engine_lengths() if n <= 2400]
+    assert len(lengths) == 172
+    for n in lengths:
+        want = [q for q, _, _ in factor_xn_minus_1(n).factors]
+        for s in _level_engine_inputs(n, rng, 1):
+            assert [q for q, _ in solve(s).deltas] == want, (n, s.bits)
+
+
+def test_remainder_tree_chain_never_costs_more_than_the_rotations():
+    # a reducible level's tree reads the fold without the rotation kill.  Its
+    # sparse chain plus the root's division is charged no more than the
+    # rotations (one width-W pass per prime of d) plus the root's division
+    # from width W; each divisor of the chain is a multiple of the next
+    def charge(width, g):
+        return (width - g.bit_length() + 1) * (g.bit_count() - 1)
+
+    levels = set()
+    for n in range(1, 2401):
+        try:
+            factor_xn_minus_1(n)
+        except UnsupportedPeriod:
+            continue
+        m, t = gf2poly._split_period(n)
+        levels.update(
+            (d, t) for d in gf2poly._divisors(m) if len(gf2poly._cyclotomic_factors(d)) > 1
+        )
+    for d, t in levels:
+        width, (polys, tree) = d << t, _remainder_tree(d, t)
+        chain, root = _below_chain(tree)
+        g = root[1][0]  # Phi_d(x^(2^t)): Phi_d is its own reciprocal
+        assert g == gf2poly._compose(math.prod(polys, start=Poly2(1)).bits, 1 << t), (d, t)
+        cost, w, previous = 0, width, (1 << width) | 1
+        for h, _ in chain + [root[1]]:
+            assert gf2poly._mod_int(previous, h) == 0, (d, t)
+            cost, w, previous = cost + charge(w, h), h.bit_length() - 1, h
+        assert cost <= len(gf2poly._factorize(d)) * width + charge(width, g), (d, t)
+    assert len(levels) == 45
 
 
 def _delta_after_saturation(s, fac, t, exponents):
