@@ -457,6 +457,94 @@ def test_remainder_tree_chain_never_costs_more_than_the_rotations():
     assert len(levels) == 45
 
 
+_REDUCIBLE_LEVELS = (15, 33, 39, 45, 65, 117, 195, 585)
+
+
+def test_reducible_levels_are_closed():
+    # a level with several primes needs ord_d(2) <= _ENUM_CAP, so d divides
+    # 2^k - 1 for some k <= _ENUM_CAP, and the support rule admits these
+    # eight.  The odd lengths it admits with several primes are the same
+    # eight.  A wider gate fails here by design: the tree's fixed root chain
+    # is shown cheapest on these levels alone (the test below)
+    levels = {
+        d
+        for k in range(1, gf2poly._ENUM_CAP + 1)
+        for d in gf2poly._divisors((1 << k) - 1)
+        if len(gf2poly._factorize(d)) > 1 and gf2poly._support_gap(d) is None
+    }
+    assert tuple(sorted(levels)) == _REDUCIBLE_LEVELS
+    odd_composite = [n for n in range(1, 3000) if choose_algorithm(n).tag == TAG_ODD_COMPOSITE]
+    assert tuple(odd_composite) == _REDUCIBLE_LEVELS
+
+
+def _prime_set_chains(mask):
+    """Every chain of prime sets (bit masks) that ends at mask, each set a
+    proper subset of the next."""
+    yield (mask,)
+    for s in range(1, mask):
+        if s & mask == s:
+            for chain in _prime_set_chains(s):
+                yield chain + (mask,)
+
+
+def test_remainder_tree_chain_is_the_cheapest():
+    # reference search: divide x^W by Phi_P(x^(W/P)) for each set of d's
+    # primes along every chain of sets that ends at all of them, whose
+    # multiple is the root's divisor, each division charged as _reduce
+    # charges it.  The tree's chain (ascending primes: p1, p1 p2, ...) is
+    # strictly the cheapest on every reducible level at t = 0 .. 4
+    for d in _REDUCIBLE_LEVELS:
+        primes = list(gf2poly._factorize(d))
+        for t in range(5):
+            width = d << t
+
+            def multiple(mask):
+                product = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+                phi = math.prod(map(Poly2, gf2poly._cyclotomic_factors(product)), start=Poly2(1))
+                return gf2poly._compose(phi.bits, width // product)
+
+            costs = {}
+            for chain in _prime_set_chains((1 << len(primes)) - 1):
+                cost, previous, divisors = 0, 1 << width, tuple(map(multiple, chain))
+                for g in divisors:
+                    cost += (previous.bit_length() - g.bit_length()) * (g.bit_count() - 1)
+                    previous = g
+                costs[divisors] = cost
+            chain, root = _below_chain(_remainder_tree(d, t)[1])
+            got = tuple(g for g, _ in chain) + (root[1][0],)
+            assert all(costs[got] < cost for divisors, cost in costs.items() if divisors != got), (
+                d, t
+            )
+
+
+# (xor, cmp, counter) of solve at each reducible level's own length and at
+# N = 234, 1560, 2340, on zero, 1, all-ones and SplitMix64(N).getrandbits(N)
+_LEVEL_ENGINE_METERS = {
+    15: ((42, 0, 0), (70, 0, 0), (42, 0, 0), (70, 0, 0)),
+    33: ((90, 0, 0), (198, 0, 0), (90, 0, 0), (198, 0, 0)),
+    39: ((106, 0, 0), (330, 0, 0), (106, 0, 0), (330, 0, 0)),
+    45: ((131, 0, 0), (253, 0, 0), (141, 0, 0), (253, 0, 0)),
+    65: ((186, 0, 0), (1314, 0, 0), (186, 0, 0), (1314, 0, 0)),
+    117: ((323, 0, 0), (2277, 0, 0), (349, 0, 0), (2277, 0, 0)),
+    195: ((667, 0, 0), (6723, 0, 0), (755, 0, 0), (6723, 0, 0)),
+    585: ((2136, 0, 0), (27630, 0, 0), (2462, 0, 0), (27630, 0, 0)),
+    234: ((646, 0, 0), (5348, 0, 4), (699, 1, 0), (5348, 0, 4)),
+    1560: ((5336, 0, 0), (62450, 0, 12), (6047, 1, 0), (62450, 4, 10)),
+    2340: ((8544, 0, 0), (121749, 0, 10), (9851, 1, 0), (121749, 0, 9)),
+}
+
+
+def test_level_engine_meters_pinned():
+    # any change to a tree's charge moves one of these exact counts
+    for n, want in _LEVEL_ENGINE_METERS.items():
+        got = []
+        for bits in (0, 1, (1 << n) - 1, SplitMix64(n).getrandbits(n)):
+            meter = OpMeter()
+            solve(CyclicSeq(bits, n), meter)
+            got.append((meter.xor_ops, meter.cmp_ops, meter.counter_ops))
+        assert tuple(got) == want, n
+
+
 def _delta_after_saturation(s, fac, t, exponents):
     """Smallest target exponent after applying chosen powers of the others."""
     r = s
