@@ -560,6 +560,4 @@ def factor_xn_minus_1(n: int) -> Factorization:
         for d in _divisors(m)
         for q in _cyclotomic_factors(d)
     )
-    fac = Factorization(n, factors)
-    fac.validate()
-    return fac
+    return Factorization(n, factors)
