@@ -4,10 +4,9 @@ Campaigns must reproduce across implementations, so the generator is
 pinned by algorithm rather than by library: SplitMix64 (Steele, Lea &
 Flood), 64-bit state, golden-gamma increment.  A k-bit sequence draw
 concatenates successive outputs little-endian (word 0 supplies bits
-0..63) and truncates to k bits.  Past a few words the draw mixes in one
-local loop and assembles the words with a single int.from_bytes, so its
-cost is linear in k; the bits and the final state are those of the word
-concatenation either way.
+0..63) and truncates to k bits.  The draw mixes in one local loop and
+assembles the words with a single int.from_bytes, so its cost is linear
+in k; the bits and the final state are those of the word concatenation.
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-# Draws of at most this many words OR the words in one by one.  The copy of
-# the growing integer makes that quadratic, but up to here it costs no more
-# than the byte assembly (the two tie within timing noise from 6 to 16 words,
-# Python 3.11, 2 vCPU), and every draw of 768 bits or fewer keeps its path.
-_FEW_WORDS = 12
 
 
 class SplitMix64:
@@ -40,16 +33,10 @@ class SplitMix64:
     def getrandbits(self, k: int) -> int:
         if k <= 0:
             raise ValueError("k must be positive")
-        words = (k + 63) // 64
-        if words <= _FEW_WORDS:
-            out = 0
-            for i in range(words):
-                out |= self.next_u64() << (64 * i)
-            return out & ((1 << k) - 1)
         # next_u64 inlined, its output kept as 8 little-endian bytes
         s = self.state
         parts = []
-        for _ in range(words):
+        for _ in range((k + 63) // 64):
             s = (s + _GAMMA) & _MASK64
             z = ((s ^ (s >> 30)) * _MIX1) & _MASK64
             z = ((z ^ (z >> 27)) * _MIX2) & _MASK64

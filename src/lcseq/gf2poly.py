@@ -560,4 +560,6 @@ def factor_xn_minus_1(n: int) -> Factorization:
         for d in _divisors(m)
         for q in _cyclotomic_factors(d)
     )
-    return Factorization(n, factors)
+    fac = Factorization(n, factors)
+    fac.validate()
+    return fac

@@ -217,20 +217,6 @@ def _reduce(a: int, width: int, divisor: tuple, meter: OpMeter) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _lift_groups(d: int) -> tuple[tuple[int, ...], ...]:
-    """The indices of Phi_d's factors grouped under the lifts g(x^(d/r)), r the
-    product of d's primes and g running over Phi_r's factors in order: each
-    factor goes to the one lift it divides.  The grouping does not depend on
-    the width, so every _remainder_tree(d, t) shares it."""
-    rad = math.prod(_factorize(d))
-    lifts = [_compose(g, d // rad) for g in _cyclotomic_factors(rad)]
-    groups = [[] for _ in lifts]
-    for i, q in enumerate(_cyclotomic_factors(d)):
-        next(group for g, group in zip(lifts, groups) if not _mod_int(g, q)).append(i)
-    return tuple(map(tuple, groups))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
     """The factors of Phi_d, ascending, and the root of their remainder tree at
     width W = d * 2^t.
@@ -272,7 +258,12 @@ def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
 
     factors = _cyclotomic_factors(d)
     primes = list(_factorize(d))
-    tree = node(_lift_groups(d))
+    rad = math.prod(primes)
+    lifts = [_compose(g, d // rad) for g in _cyclotomic_factors(rad)]
+    groups = [[] for _ in lifts]
+    for i, q in enumerate(factors):
+        next(group for g, group in zip(lifts, groups) if not _mod_int(g, q)).append(i)
+    tree = node(tuple(map(tuple, groups)))
     for k in range(len(primes) - 1, 0, -1):
         product = math.prod(primes[:k])
         g = _compose(reduce(_mul_int, _cyclotomic_factors(product)), (d << t) // product)

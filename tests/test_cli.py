@@ -590,6 +590,6 @@ def test_dispatch_is_number_theory_only():
     after_import, after_dispatch = json.loads(proc.stdout)
     assert "choose_algorithm" in after_import and "factor_xn_minus_1" in after_import
     assert set(after_import.values()) == {0}, after_import
-    factoring = ("factor_xn_minus_1", "_cyclotomic_factors", "_remainder_tree", "_lift_groups",
-                 "_level_plan", "_exponent_int", "_is_irreducible_int")
+    factoring = ("factor_xn_minus_1", "_cyclotomic_factors", "_remainder_tree", "_level_plan",
+                 "_exponent_int", "_is_irreducible_int")
     assert {name: after_dispatch[name] for name in factoring} == dict.fromkeys(factoring, 0)

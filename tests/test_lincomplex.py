@@ -27,7 +27,6 @@ from lcseq.lincomplex import (
     TAG_ORACLE_FALLBACK,
     _fold,
     _level_plan,
-    _lift_groups,
     _remainder_tree,
     bound_for,
     choose_algorithm,
@@ -931,7 +930,6 @@ def test_caches_are_bounded():
         choose_algorithm,
         factor_xn_minus_1,
         _remainder_tree,
-        _lift_groups,
         _level_plan,
         gf2poly._cyclotomic_factors,
         gf2poly._exponent_int,
