@@ -36,8 +36,9 @@ __all__ = [
     "factor_xn_minus_1",
 ]
 
-# Trial-division irreducibility is quadratic in the candidate count; the
-# algorithms here never need factors above this degree.
+# Exponent and primitivity factor 2^deg - 1 by trial division (_order): cheap
+# to here, not much beyond (2^61 - 1 is prime).  The polynomial tests refuse
+# any degree above it.
 DEGREE_CAP = 24
 
 # Dispatch gate on a cyclotomic level Phi_d with several primes (such as
@@ -63,7 +64,7 @@ class UnsupportedPeriod(ValueError):
 
 
 class DegreeCapExceeded(ValueError):
-    """Raised when a brute-force test is asked for a degree above the cap."""
+    """Raised when a polynomial test is asked for a degree above DEGREE_CAP."""
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +360,14 @@ def gcd(a: Poly2, b: Poly2) -> Poly2:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _exponent_int(fbits: int) -> int:
-    f = Poly2(fbits)
-    k = f.degree
+    k = fbits.bit_length() - 1
     if _is_irreducible_int(fbits):
-        # the order of x divides 2^k - 1
-        return _order((1 << k) - 1, lambda e: _powmod_int(2, e, fbits) == 1)
-    # reducible: step x, x^2, ... until 1 (small inputs only)
-    cur = _mod_int(2, fbits)
-    e = 1
-    cap = 1 << 20
-    while cur != 1:
-        cur = _mod_int(cur << 1, fbits)
-        e += 1
-        if e > cap:
-            raise DegreeCapExceeded(f"exponent of {f!r} exceeds stepping cap")
-    return e
+        multiple = (1 << k) - 1
+    else:
+        # a factor q^a of f contributes ord(x mod q) * 2^ceil(log2 a), with
+        # ord(x mod q) | 2^deg(q) - 1, deg(q) <= k and a <= k
+        multiple = math.lcm(*((1 << j) - 1 for j in range(1, k + 1))) << (k - 1).bit_length()
+    return _order(multiple, lambda e: _powmod_int(2, e, fbits) == 1)
 
 
 def exponent(f: Poly2) -> int:
@@ -387,20 +381,22 @@ def exponent(f: Poly2) -> int:
     return _exponent_int(f.bits)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _is_irreducible_int(fbits: int) -> bool:
     deg = fbits.bit_length() - 1
     if deg > DEGREE_CAP:
         raise DegreeCapExceeded(f"irreducibility cap is degree {DEGREE_CAP}, got {deg}")
-    for d in range(1, deg // 2 + 1):
-        for div in range(1 << d, 1 << (d + 1)):
-            if _mod_int(fbits, div) == 0:
-                return False
+    a = 2
+    for _ in range(deg // 2):
+        a = _mod_int(_compose(a, 2), fbits)
+        if _gcd_int(fbits, a ^ 2) != 1:
+            return False
     return True
 
 
 def is_irreducible(f: Poly2) -> bool:
-    """Trial division by every smaller-degree polynomial up to degree deg/2."""
+    """Ben-Or's test: f has an irreducible factor of degree dividing i exactly
+    when gcd(f, x^(2^i) - x) != 1, so f is irreducible when that gcd is 1 for
+    every i <= deg/2.  Raises DegreeCapExceeded above DEGREE_CAP."""
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
     return _is_irreducible_int(f.bits)
@@ -560,6 +556,4 @@ def factor_xn_minus_1(n: int) -> Factorization:
         for d in _divisors(m)
         for q in _cyclotomic_factors(d)
     )
-    fac = Factorization(n, factors)
-    fac.validate()
-    return fac
+    return Factorization(n, factors)

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcseq._rng import SplitMix64
 from lcseq.gf2poly import (
     DEGREE_CAP,
     DegreeCapExceeded,
@@ -14,6 +15,7 @@ from lcseq.gf2poly import (
     _compose,
     _cyclotomic_factors,
     _equal_degree_factors,
+    _mod_int,
     _product_of_powers,
     add,
     divrem,
@@ -80,16 +82,43 @@ def _exponent_brute(f: Poly2, cap: int) -> int:
     raise AssertionError("no exponent found below cap")
 
 
+def _exponent_by_stepping(fbits: int) -> int:
+    """Reference: step x, x^2, ... mod f until 1."""
+    cur, e = _mod_int(2, fbits), 1
+    while cur != 1:
+        cur, e = _mod_int(cur << 1, fbits), e + 1
+    return e
+
+
+def _is_irreducible_by_trial_division(fbits: int) -> bool:
+    """Reference: no polynomial of degree 1 .. deg/2 divides f."""
+    deg = fbits.bit_length() - 1
+    return all(
+        _mod_int(fbits, div)
+        for d in range(1, deg // 2 + 1)
+        for div in range(1 << d, 1 << (d + 1))
+    )
+
+
 def test_exponent_examples():
     assert exponent(P("111")) == 3
     assert exponent(P("11111")) == 5
     assert _exponent_brute(P("11111"), 5) == 5
     assert exponent(P("11001")) == 15
     assert _exponent_brute(P("11001"), 15) == 15
-    # reducible: the order of x is found by stepping
+    # reducible: the order of x divides 2^ceil(log2 k) * lcm(2^j - 1 : j <= k)
     assert exponent(P("101")) == 2  # x^2+1
     assert exponent(P("1001")) == 3  # x^3+1
     assert exponent(P("10101")) == 6  # x^4+x^2+1 = (x^2+x+1)^2
+    assert exponent(P("111") ** 3) == 12
+    # order 2047 * 8191 = 16,766,977, far past any stepping search
+    f = Poly2.from_exponents([11, 2, 0]) * Poly2.from_exponents([13, 4, 3, 1, 0])
+    assert exponent(f) == 16_766_977
+
+
+def test_exponent_matches_stepping():
+    for fbits in range(3, 1 << 11, 2):  # f(0) = 1, degree 1 .. 10
+        assert exponent(Poly2(fbits)) == _exponent_by_stepping(fbits), fbits
 
 
 def test_exponent_errors():
@@ -105,6 +134,16 @@ def test_irreducible_examples():
     assert is_irreducible(P("11111"))
     with pytest.raises(DegreeCapExceeded):
         is_irreducible(Poly2(1 << 30))
+
+
+def test_irreducible_matches_trial_division():
+    for fbits in range(2, 1 << 15):  # every polynomial of degree 1 .. 14
+        assert is_irreducible(Poly2(fbits)) == _is_irreducible_by_trial_division(fbits), fbits
+    for deg in range(15, DEGREE_CAP + 1):
+        rng = SplitMix64(deg)
+        for _ in range(300):
+            fbits = (1 << deg) | rng.getrandbits(deg)
+            assert is_irreducible(Poly2(fbits)) == _is_irreducible_by_trial_division(fbits), fbits
 
 
 def test_primitive_examples():
@@ -168,19 +207,18 @@ def _level_shape(d):
 
 def test_factor_product_check_all_supported_lengths():
     # multiplying out reproduces x^N - 1 exactly for every supported N <= 4096
+    # and the fast-large lengths
     supported = 0
-    for n in range(1, 4097):
+    for n in [*range(1, 4097), 1 << 16, 3 << 14, 5 << 12, 13 << 8, 29 << 8]:
         try:
             fac = factor_xn_minus_1(n)
         except UnsupportedPeriod:
             continue
         supported += 1
-        prod = Poly2(1)
+        fac.validate()
         for f in fac.factors:
-            prod = prod * (f.poly ** f.multiplicity)
             # the support gate promises irreducible levels without testing them
             assert f.poly.degree > DEGREE_CAP or is_irreducible(f.poly), (n, f.poly)
-        assert prod == x_pow_n_minus_1(n), n
         # level by level in increasing d | odd part, ascending bits within a
         # level: the order of a report's deltas
         odd = n >> ((n & -n).bit_length() - 1)

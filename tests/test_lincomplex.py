@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from lcseq import gf2poly
+from lcseq import gf2poly, lincomplex
 from lcseq._rng import SplitMix64
 from lcseq.cyclicseq import CyclicSeq, OpMeter, apply_poly, apply_poly_pow2
 from lcseq.gf2poly import (
@@ -26,7 +26,6 @@ from lcseq.lincomplex import (
     TAG_ODD_PRIME_POWER,
     TAG_ORACLE_FALLBACK,
     _fold,
-    _level_plan,
     _remainder_tree,
     bound_for,
     choose_algorithm,
@@ -926,16 +925,12 @@ def test_dispatch_large_lengths():
 
 
 def test_caches_are_bounded():
-    for cached in (
-        choose_algorithm,
-        factor_xn_minus_1,
-        _remainder_tree,
-        _level_plan,
-        gf2poly._cyclotomic_factors,
-        gf2poly._exponent_int,
-        gf2poly._is_irreducible_int,
-    ):
-        assert cached.cache_parameters()["maxsize"] == gf2poly._CACHE_SIZE
+    # every lru_cache the two modules define, found by scanning them
+    caches = {name: fn for module in (gf2poly, lincomplex)
+              for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+    assert "choose_algorithm" in caches and "factor_xn_minus_1" in caches
+    for name, cached in caches.items():
+        assert cached.cache_parameters()["maxsize"] == gf2poly._CACHE_SIZE, name
     for n in range(1, gf2poly._CACHE_SIZE + 100):
         choose_algorithm(n)
     info = choose_algorithm.cache_info()
