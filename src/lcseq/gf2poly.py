@@ -204,10 +204,11 @@ def _euler_phi(m: int) -> int:
     return t
 
 
-def _order(t: int, is_one: Callable[[int], bool]) -> int:
+def _order(t: int, is_one: Callable[[int], bool], primes: set[int] | None = None) -> int:
     """Order of a group element from a multiple t of it; is_one(e) tells
-    whether the element raised to e is the identity."""
-    for q in _factorize(t):
+    whether the element raised to e is the identity.  primes, when given,
+    holds every prime of t (others are skipped), else t is factored."""
+    for q in primes or _factorize(t):
         while t % q == 0 and is_one(t // q):
             t //= q
     return t
@@ -362,12 +363,14 @@ def gcd(a: Poly2, b: Poly2) -> Poly2:
 def _exponent_int(fbits: int) -> int:
     k = fbits.bit_length() - 1
     if _is_irreducible_int(fbits):
-        multiple = (1 << k) - 1
+        multiple, primes = (1 << k) - 1, None
     else:
         # a factor q^a of f contributes ord(x mod q) * 2^ceil(log2 a), with
-        # ord(x mod q) | 2^deg(q) - 1, deg(q) <= k and a <= k
+        # ord(x mod q) | 2^deg(q) - 1, deg(q) <= k and a <= k; the lcm's
+        # primes are those of each 2^j - 1, factored apart
         multiple = math.lcm(*((1 << j) - 1 for j in range(1, k + 1))) << (k - 1).bit_length()
-    return _order(multiple, lambda e: _powmod_int(2, e, fbits) == 1)
+        primes = {2}.union(*(_factorize((1 << j) - 1) for j in range(2, k + 1)))
+    return _order(multiple, lambda e: _powmod_int(2, e, fbits) == 1, primes)
 
 
 def exponent(f: Poly2) -> int:

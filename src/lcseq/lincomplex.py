@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2
@@ -222,18 +222,24 @@ def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
     width W = d * 2^t.
 
     Node (indices, divisor, *children), the indices of the factors q under
-    it and divisor = (product of their reciprocals q*)(x^(2^t)); leaf ((i,),
-    q*(x^(2^t)), ..., q*(x^2), q*).  Each divisor is a (g, exps) record for
-    _reduce.  Phi_d(x) = Phi_r(x^(d/r)) with r the product of d's primes, so
-    each factor g of Phi_r lifts to g(x^(d/r)), of g's weight, a product of
-    factors of Phi_d: the tree halves over these lifts, in Phi_r's order,
-    then over the factors under each (for r = d, over the factors).  Above
-    the root, a chain of one-child nodes divides by the sparse multiples
-    Phi_P(x^(W/P)) of the root's divisor, P the product of d's k smallest
-    primes for k = 1, 2, ... up to all but one of them.  The support rule
-    admits eight reducible levels, d = 15, 33, 39, 45, 65, 117, 195 and 585,
-    and on each this chain is the one charged least (the test suite checks
-    it against a search over every chain of prime sets).
+    it and a divisor that every q*(x^(2^t)) under it divides, q* the
+    reciprocal of q; leaf ((i,), q*(x^(2^t)), ..., q*(x^2), q*).  Each
+    divisor is a (g, exps) record for _reduce.  Phi_d(x) = Phi_r(x^(d/r))
+    with r the product of d's primes, so each factor g of Phi_r lifts to
+    g(x^(d/r)), of g's weight, a product of factors of Phi_d: the tree
+    halves over these lifts, in Phi_r's order, then over the factors under
+    each (for r = d, over the factors), each node dividing by the product
+    of its children's divisors.  Above that, a chain divides by sparse
+    multiples for P the product of d's k smallest primes, k = 1, 2, ... up
+    to all but one of them: one node per factor f of Phi_P, dividing by
+    f*(x^(W/P)), over the g with g | f(x^(r/P)), which is the node
+    Phi_P(x^(W/P)) when Phi_P is irreducible.  Such a divisor also holds
+    factors of a level below d; they can widen a remainder but never change
+    an exponent, as every leaf's divisor divides it.  The support rule admits
+    eight reducible levels, d = 15, 33, 39, 45, 65, 117, 195 and 585; only
+    Phi_15, inside d = 195 and 585, splits, and on each level this chain is
+    the one charged least (the test suite checks it against a search over
+    every chain of prime sets, each set split per factor).
     """
 
     def divisor(g: int) -> tuple:  # g, with its terms' exponents if its top gap exceeds its weight
@@ -246,15 +252,32 @@ def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
             rest &= rest - 1
         return g, exps
 
+    def parent(g: int, children: list) -> tuple:  # a lone leaf stands for itself
+        indices = sum((child[0] for child in children), ())
+        return (indices, divisor(g), *children) if len(indices) > 1 else children[0]
+
     def node(groups: tuple[tuple[int, ...], ...]) -> tuple:
         if len(groups) > 1:
             left, right = node(groups[: len(groups) // 2]), node(groups[len(groups) // 2 :])
-            return left[0] + right[0], divisor(_mul_int(left[1][0], right[1][0])), left, right
+            return parent(_mul_int(left[1][0], right[1][0]), [left, right])
         if len(groups[0]) > 1:
             return node(tuple((i,) for i in groups[0]))
         q = factors[groups[0][0]]
         r = _reversed(q, q.bit_length() - 1)
         return (groups[0], *(divisor(_compose(r, 1 << j)) for j in range(t, -1, -1)))
+
+    def chain(k: int, lifted: list) -> list:  # the nodes over lifted, (g, group) pairs
+        if k >= len(primes):
+            return [node(tuple(group for _, group in lifted))]
+        product = math.prod(primes[:k])
+        fs, nodes = _cyclotomic_factors(product), []
+        for f in fs:
+            lift = _compose(f, rad // product)
+            under = [(g, group) for g, group in lifted if len(fs) == 1 or not _mod_int(lift, g)]
+            if under:
+                star = _compose(_reversed(f, f.bit_length() - 1), (d << t) // product)
+                nodes.append(parent(star, chain(k + 1, under)))
+        return nodes
 
     factors = _cyclotomic_factors(d)
     primes = list(_factorize(d))
@@ -263,11 +286,8 @@ def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
     groups = [[] for _ in lifts]
     for i, q in enumerate(factors):
         next(group for g, group in zip(lifts, groups) if not _mod_int(g, q)).append(i)
-    tree = node(tuple(map(tuple, groups)))
-    for k in range(len(primes) - 1, 0, -1):
-        product = math.prod(primes[:k])
-        g = _compose(reduce(_mul_int, _cyclotomic_factors(product)), (d << t) // product)
-        tree = tree[0], divisor(g), tree
+    # one top: d's smallest prime is a level of its own, irreducible by the support rule
+    tree, = chain(1, [(g, tuple(group)) for g, group in zip(_cyclotomic_factors(rad), groups)])
     return tuple(map(Poly2, factors)), tree
 
 
@@ -317,8 +337,8 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
     (p - 1) * width XORs.  Then, level by level: on an irreducible level,
     adding the rotation by width/p for each prime p | d kills the levels
     below Phi_d and is a unit on it, and block Games-Chan reads the result.
-    A reducible level's remainder tree reads the fold itself, since its root
-    divides out every other level.  A zero fold, fresh bits, is a free test;
+    A reducible level's remainder tree reads the fold itself: each leaf's
+    divisor holds no other level and divides every divisor above it.  A zero fold, fresh bits, is a free test;
     the input's own bits at d = m are not fresh.  Each level's exponents
     come in the order of its factors.
     """

@@ -398,14 +398,37 @@ def test_level_engine_structured_reducible_levels():
         assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), n
         assert all((e > 0) == (q in group) for q, e in r.deltas), n
     assert lifted == [117, 234, 468, 585, 936, 1170, 1872, 2340]
+    # the Phi_195 factors over one factor f of Phi_15, q | f(x^13): the tree's
+    # node for the other factor f' divides by f'*(x^(13 * 2^t)), which keeps
+    # h*(x^(2^t)) beside that node's own factors, h the factor of Phi_15 with
+    # h | f'(x^13).  Projected onto the group, the node's remainder at level
+    # 195 is zero; with h added it is nonzero only through h*, and every
+    # child of the node reads a zero remainder
+    f, other = gf2poly._cyclotomic_factors(15)
+    lift, other_lift = gf2poly._compose(f, 13), gf2poly._compose(other, 13)
+    group = [Poly2(q) for q in gf2poly._cyclotomic_factors(195) if not gf2poly._mod_int(lift, q)]
+    kept = next(Poly2(h) for h in (f, other) if not gf2poly._mod_int(other_lift, h))
+    assert len(group) == 4
+    for n in (195, 390, 1560, 585, 2340):
+        m, t = gf2poly._split_period(n)
+        _, chain, _, node = _remainder_tree(195, t)[1]
+        for subset in (group, group + [kept]):
+            s = _projected(n, t, subset, rng)
+            r = solve(s)
+            assert r.key() == gcd_method(s).key() == berlekamp_massey(s).key(), (n, subset)
+            assert all((e > 0) == (q in subset) for q, e in r.deltas), (n, subset)
+            y = gf2poly._mod_int(_fold(s.bits, 195 << t, m // 195), chain[0])
+            y = gf2poly._mod_int(y, node[1][0])
+            assert (y != 0) == (len(subset) > len(group)), (n, subset)
+            assert all(gf2poly._mod_int(y, child[1][0]) == 0 for child in node[2:]), (n, subset)
 
 
 def test_level_engine_meter_target_585_family():
-    # the 585 family's < 60 ops/bit target, and < 50 for the 195 family: with
-    # the sparse chain and the lifted tree the worst of these inputs costs
-    # 52.0 and 40.0 ops/bit
+    # the 585 family's < 40 ops/bit target, and < 32 for the 195 family: with
+    # the sparse chain split per factor of Phi_15 and the lifted tree the
+    # worst of these inputs costs 38.1 and 29.6 ops/bit
     rng = SplitMix64(41)
-    for family, target in (((585, 1170, 2340), 60), ((195, 390, 780, 1560), 50)):
+    for family, target in (((585, 1170, 2340), 40), ((195, 390, 780, 1560), 32)):
         for n in family:
             for s in _level_engine_inputs(n, rng, 10):
                 meter = OpMeter()
@@ -425,14 +448,100 @@ def test_level_engine_deltas_in_factorization_order():
             assert [q for q, _ in solve(s).deltas] == want, (n, s.bits)
 
 
-def test_remainder_tree_chain_never_costs_more_than_the_rotations():
-    # a reducible level's tree reads the fold without the rotation kill.  Its
-    # sparse chain plus the root's division is charged no more than the
-    # rotations (one width-W pass per prime of d) plus the root's division
-    # from width W; each divisor of the chain is a multiple of the next
-    def charge(width, g):
-        return (width - g.bit_length() + 1) * (g.bit_count() - 1)
+def _sparse(g):
+    """The (g, exps) record of _remainder_tree: exps lists g's terms when its
+    top gap exceeds its weight."""
+    top = g.bit_length() - 1
+    if top - (g ^ 1 << top).bit_length() < g.bit_count():
+        return g, None
+    return g, [e for e in range(top + 1) if g >> e & 1]
 
+
+def _halving(factors, groups, t):
+    """The tree's halving over groups of factor indices, then over the factors
+    of each group; each node divides by the product of its children's
+    divisors, each leaf by q*(x^(2^j)), j = t .. 0."""
+    if len(groups) > 1:
+        half = len(groups) // 2
+        left, right = _halving(factors, groups[:half], t), _halving(factors, groups[half:], t)
+        return left[0] + right[0], _sparse(gf2poly._mul_int(left[1][0], right[1][0])), left, right
+    if len(groups[0]) > 1:
+        return _halving(factors, tuple((i,) for i in groups[0]), t)
+    q = factors[groups[0][0]]
+    r = gf2poly._reversed(q, q.bit_length() - 1)
+    return (groups[0], *(_sparse(gf2poly._compose(r, 1 << j)) for j in range(t, -1, -1)))
+
+
+def _lifted(d):
+    """Phi_d's factors, the product r of d's primes, and each factor g of Phi_r
+    with the indices of the factors of Phi_d dividing g(x^(d/r))."""
+    factors = gf2poly._cyclotomic_factors(d)
+    rad = math.prod(gf2poly._factorize(d))
+    lifted = []
+    for g in gf2poly._cyclotomic_factors(rad):
+        lift = gf2poly._compose(g, d // rad)
+        lifted.append((g, tuple(i for i, q in enumerate(factors) if not gf2poly._mod_int(lift, q))))
+    return factors, rad, lifted
+
+
+def _unsplit_tree(d, t):
+    """Reference: the tree with one chain node Phi_P(x^(W/P)) per product P of
+    d's k smallest primes, unsplit when Phi_P is reducible, above the root
+    Phi_d(x^(2^t)) and its halving over the lifts."""
+    factors, _, lifted = _lifted(d)
+    primes = list(gf2poly._factorize(d))
+    tree = _halving(factors, tuple(group for _, group in lifted), t)
+    for k in range(len(primes) - 1, 0, -1):
+        product = math.prod(primes[:k])
+        phi = math.prod(map(Poly2, gf2poly._cyclotomic_factors(product)), start=Poly2(1))
+        g = gf2poly._compose(phi.bits, (d << t) // product)
+        tree = tree[0], _sparse(g), tree
+    return tree
+
+
+def _split_tree(d, t, products):
+    """The tree under any chain of products P_1 | P_2 | ... of proper subsets
+    of d's primes: one node per factor f of Phi_P, dividing by f*(x^(W/P)),
+    over the lifts g with g | f(x^(r/P)), then the halving.  A lone leaf
+    stands for its node; several nodes at the top sit under their product."""
+    factors, rad, lifted = _lifted(d)
+
+    def parent(g, children):
+        indices = sum((child[0] for child in children), ())
+        return (indices, _sparse(g), *children) if len(indices) > 1 else children[0]
+
+    def level(k, lifted):
+        if k == len(products):
+            return [_halving(factors, tuple(group for _, group in lifted), t)]
+        nodes = []
+        for f in gf2poly._cyclotomic_factors(products[k]):
+            lift = gf2poly._compose(f, rad // products[k])
+            under = [(g, group) for g, group in lifted if not gf2poly._mod_int(lift, g)]
+            if under:
+                star = gf2poly._reversed(f, f.bit_length() - 1)
+                g = gf2poly._compose(star, (d << t) // products[k])
+                nodes.append(parent(g, level(k + 1, under)))
+        return nodes
+
+    tops = level(0, lifted)
+    if len(tops) == 1:
+        return tops[0]
+    return parent(math.prod((Poly2(top[1][0]) for top in tops), start=Poly2(1)).bits, tops)
+
+
+def _charge(node, width):
+    """A tree's charge with no zero skip, as _reduce charges it: each node's
+    division from its parent's width, and each leaf's by q*(x^(2^j))."""
+    indices, (g, _), *below = node
+    cost, width = (width - g.bit_length() + 1) * (g.bit_count() - 1), g.bit_length() - 1
+    if len(indices) > 1:
+        return cost + sum(_charge(child, width) for child in below)
+    for r, _ in below:
+        cost, width = cost + (width - r.bit_length() + 1) * (r.bit_count() - 1), r.bit_length() - 1
+    return cost
+
+
+def _reducible_levels_to_2400():
     levels = set()
     for n in range(1, 2401):
         try:
@@ -443,17 +552,50 @@ def test_remainder_tree_chain_never_costs_more_than_the_rotations():
         levels.update(
             (d, t) for d in gf2poly._divisors(m) if len(gf2poly._cyclotomic_factors(d)) > 1
         )
-    for d, t in levels:
-        width, (polys, tree) = d << t, _remainder_tree(d, t)
-        chain, root = _below_chain(tree)
-        g = root[1][0]  # Phi_d(x^(2^t)): Phi_d is its own reciprocal
-        assert g == gf2poly._compose(math.prod(polys, start=Poly2(1)).bits, 1 << t), (d, t)
-        cost, w, previous = 0, width, (1 << width) | 1
-        for h, _ in chain + [root[1]]:
-            assert gf2poly._mod_int(previous, h) == 0, (d, t)
-            cost, w, previous = cost + charge(w, h), h.bit_length() - 1, h
-        assert cost <= len(gf2poly._factorize(d)) * width + charge(width, g), (d, t)
     assert len(levels) == 45
+    return sorted(levels)
+
+
+def test_remainder_tree_charges_no_more_than_the_unsplit_chain():
+    # at every reducible level up to N = 2400 the tree, with no zero skip, is
+    # charged no more than the reference tree whose chain keeps one node per
+    # prime set, and strictly less where a chain level splits (Phi_15 inside
+    # 195 and 585).  The reference's chain plus its root's division costs no
+    # more than the rotations (one width-W pass per prime of d) plus the
+    # root's division from width W: a reducible level reads the fold without
+    # the rotation kill
+    split = []
+    for d, t in _reducible_levels_to_2400():
+        width = d << t
+        got, reference = _charge(_remainder_tree(d, t)[1], width), _unsplit_tree(d, t)
+        want = _charge(reference, width)
+        rotations = len(gf2poly._factorize(d)) * width + _charge(_below_chain(reference)[1], width)
+        assert got <= want <= rotations, (d, t)
+        if got < want:
+            split.append((d, t))
+    assert split == [(195, 0), (195, 1), (195, 2), (195, 3), (585, 0), (585, 1), (585, 2)]
+
+
+def test_remainder_tree_leaves_divide_their_ancestors():
+    # each leaf i divides by polys[i]*(x^(2^t)), ..., polys[i]*; every
+    # ancestor's divisor is a multiple of its first, so a remainder keeps
+    # q*'s multiplicity up to 2^t; the leaves cover every factor once and
+    # each node lists the indices of its children
+    for d, t in _reducible_levels_to_2400():
+        polys, tree = _remainder_tree(d, t)
+        leaves, nodes = [], [(tree, ())]
+        while nodes:
+            (indices, (g, _), *below), ancestors = nodes.pop()
+            if len(indices) > 1:
+                assert indices == sum((child[0] for child in below), ()), (d, t)
+                nodes += [(child, ancestors + (g,)) for child in below]
+                continue
+            r = gf2poly._reversed(polys[indices[0]].bits, polys[indices[0]].degree)
+            want = [gf2poly._compose(r, 1 << j) for j in range(t, -1, -1)]
+            assert [g] + [h for h, _ in below] == want, (d, t, indices)
+            assert all(gf2poly._mod_int(a, g) == 0 for a in ancestors), (d, t, indices)
+            leaves += indices
+        assert sorted(leaves) == list(range(len(polys))), (d, t)
 
 
 _REDUCIBLE_LEVELS = (15, 33, 39, 45, 65, 117, 195, 585)
@@ -487,33 +629,26 @@ def _prime_set_chains(mask):
 
 
 def test_remainder_tree_chain_is_the_cheapest():
-    # reference search: divide x^W by Phi_P(x^(W/P)) for each set of d's
-    # primes along every chain of sets that ends at all of them, whose
-    # multiple is the root's divisor, each division charged as _reduce
-    # charges it.  The tree's chain (ascending primes: p1, p1 p2, ...) is
-    # strictly the cheapest on every reducible level at t = 0 .. 4
+    # reference search: the tree under every chain of prime sets that ends
+    # below all of d's primes, each set's level split per factor of Phi_P,
+    # charged with no zero skip.  The tree's chain (ascending primes: p1,
+    # p1 p2, ...) is the one built so, and strictly the cheapest on every
+    # reducible level at t = 0 .. 4
     for d in _REDUCIBLE_LEVELS:
         primes = list(gf2poly._factorize(d))
+        full = (1 << len(primes)) - 1
         for t in range(5):
-            width = d << t
-
-            def multiple(mask):
-                product = math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
-                phi = math.prod(map(Poly2, gf2poly._cyclotomic_factors(product)), start=Poly2(1))
-                return gf2poly._compose(phi.bits, width // product)
-
             costs = {}
-            for chain in _prime_set_chains((1 << len(primes)) - 1):
-                cost, previous, divisors = 0, 1 << width, tuple(map(multiple, chain))
-                for g in divisors:
-                    cost += (previous.bit_length() - g.bit_length()) * (g.bit_count() - 1)
-                    previous = g
-                costs[divisors] = cost
-            chain, root = _below_chain(_remainder_tree(d, t)[1])
-            got = tuple(g for g, _ in chain) + (root[1][0],)
-            assert all(costs[got] < cost for divisors, cost in costs.items() if divisors != got), (
-                d, t
-            )
+            for chain in _prime_set_chains(full):
+                products = tuple(
+                    math.prod(p for i, p in enumerate(primes) if mask >> i & 1)
+                    for mask in chain[:-1]
+                )
+                costs[products] = _charge(_split_tree(d, t, products), d << t)
+            ascending = tuple(math.prod(primes[:k]) for k in range(1, len(primes)))
+            assert _split_tree(d, t, ascending) == _remainder_tree(d, t)[1], (d, t)
+            others = [cost for chain, cost in costs.items() if chain != ascending]
+            assert costs[ascending] < min(others, default=math.inf), (d, t, costs)
 
 
 # (xor, cmp, counter) of solve at each reducible level's own length and at
@@ -525,11 +660,11 @@ _LEVEL_ENGINE_METERS = {
     45: ((131, 0, 0), (253, 0, 0), (141, 0, 0), (253, 0, 0)),
     65: ((186, 0, 0), (1314, 0, 0), (186, 0, 0), (1314, 0, 0)),
     117: ((323, 0, 0), (2277, 0, 0), (349, 0, 0), (2277, 0, 0)),
-    195: ((667, 0, 0), (6723, 0, 0), (755, 0, 0), (6723, 0, 0)),
-    585: ((2136, 0, 0), (27630, 0, 0), (2462, 0, 0), (27630, 0, 0)),
+    195: ((667, 0, 0), (4687, 0, 0), (755, 0, 0), (4687, 0, 0)),
+    585: ((2136, 0, 0), (19486, 0, 0), (2462, 0, 0), (19486, 0, 0)),
     234: ((646, 0, 0), (5348, 0, 4), (699, 1, 0), (5348, 0, 4)),
-    1560: ((5336, 0, 0), (62450, 0, 12), (6047, 1, 0), (62450, 4, 10)),
-    2340: ((8544, 0, 0), (121749, 0, 10), (9851, 1, 0), (121749, 0, 9)),
+    1560: ((5336, 0, 0), (46162, 0, 12), (6047, 1, 0), (46162, 4, 10)),
+    2340: ((8544, 0, 0), (89173, 0, 10), (9851, 1, 0), (89173, 0, 9)),
 }
 
 
