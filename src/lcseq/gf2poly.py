@@ -41,9 +41,8 @@ __all__ = [
 # any degree above it.
 DEGREE_CAP = 24
 
-# Dispatch gate on a cyclotomic level Phi_d with several primes (such as
-# 15 = 3*5): its factor degree ord_d(2) must not exceed this.  Equal-degree
-# splitting is not limited by it; the gate keeps the supported lengths fixed.
+# Dispatch gate of the support rule (see _support_gap) on odd parts with
+# several primes; equal-degree splitting is not limited by it.
 _ENUM_CAP = 16
 
 # Draws that fail to split one piece before _equal_degree_factors gives up;
@@ -449,26 +448,24 @@ class Factorization:
 def _support_gap(n: int) -> str | None:
     """Why x^N - 1 is outside the supported families, or None if it is not.
 
-    Over GF(2) the cyclotomic level Phi_d splits into phi(d)/ord_d(2)
-    irreducible factors of degree ord_d(2), so support is decided by the
-    divisors d of N's odd part alone: a prime-power level p^j needs
-    p < 2^16 and 2 primitive mod p^j (Phi_{p^j} irreducible), and a level
-    with several primes needs ord_d(2) <= _ENUM_CAP, a gate on dispatch
-    rather than a limit of the equal-degree split.  The first failing
-    level, in increasing d, is reported.
+    The support rule, on N's odd part m: for each prime power p^e exactly
+    dividing m, p < 2^16 and 2 is a primitive root mod p^e; when m has
+    several primes, also ord_m(2) <= _ENUM_CAP.  A primitive root mod p^e
+    stays one mod every p^j, j <= e, so each level Phi_{p^j} is
+    irreducible; ord_d(2) divides ord_m(2) for every d | m, so every level
+    with several primes has factors of degree at most _ENUM_CAP, a gate on
+    dispatch rather than a limit of the equal-degree split.  The first
+    failing check is reported.
     """
-    for d in _divisors(_split_period(n)[0])[1:]:
-        fac_d = _factorize(d)
-        if len(fac_d) > 1:
-            k = _mult_order(2, d)
-            if k > _ENUM_CAP:
-                return f"cross-cyclotomic degree {k} above enumeration cap"
-            continue
-        (p, j), = fac_d.items()
+    m = _split_period(n)[0]
+    primes = _factorize(m)
+    for p, e in primes.items():
         if p >= 1 << 16:
             return f"prime {p} above the 2^16 validation cap"
-        if _mult_order(2, d) != _euler_phi(d):
-            return f"2 is not a primitive root mod {p}^{j}"
+        if _mult_order(2, p**e) != _euler_phi(p**e):
+            return f"2 is not a primitive root mod {p}^{e}"
+    if len(primes) > 1 and (k := _mult_order(2, m)) > _ENUM_CAP:
+        return f"cross-cyclotomic degree {k} above enumeration cap"
     return None
 
 
@@ -538,13 +535,10 @@ def factor_xn_minus_1(n: int) -> Factorization:
     come level by level in increasing d, each level split by equal-degree
     factorization in _cyclotomic_factors.
 
-    Supported: N < 2^32 whose odd part has only primes p < 2^16, with 2 a
-    primitive root mod every prime power p^j dividing it, and whose
-    divisors d with several primes have ord_d(2) <= 16 (the dispatch gate
-    _ENUM_CAP, not a limit of the split).  That covers
-    N = 2^a, odd prime powers p^k, products of them, and any of these times
-    a power of two.  Raises UnsupportedPeriod otherwise; callers fall back
-    to the oracle module.
+    Supported: N < 2^32 that meets the support rule of _support_gap.  That
+    covers N = 2^a, odd prime powers p^k, products of them, and any of
+    these times a power of two.  Raises UnsupportedPeriod otherwise;
+    callers fall back to the oracle module.
     """
     if n < 1:
         raise ValueError("period must be positive")

@@ -190,8 +190,6 @@ def ppp(f: Poly2, s: CyclicSeq, meter: OpMeter | None = None) -> tuple[int, LcRe
     if q & (q - 1):
         raise UnsupportedPeriod(s.n, f"length / exponent({f.to_human()}) is not a power of two")
     n = q.bit_length() - 1
-    if s.bits == 0:
-        return 0, LcResult(TAG_PPP, meter, deltas=((f, 0),))
     if apply_poly_pow2(f, n, s, meter).bits:  # a fused zero test is free
         raise NotGeneratedBy(f"sequence is not generated by ({f.to_human()})^{1 << n}")
     m = _gc_int(s.bits, s.n, meter, False, e)
@@ -338,9 +336,10 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
     adding the rotation by width/p for each prime p | d kills the levels
     below Phi_d and is a unit on it, and block Games-Chan reads the result.
     A reducible level's remainder tree reads the fold itself: each leaf's
-    divisor holds no other level and divides every divisor above it.  A zero fold, fresh bits, is a free test;
-    the input's own bits at d = m are not fresh.  Each level's exponents
-    come in the order of its factors.
+    divisor holds no other level and divides every divisor above it.  A
+    zero test of fresh bits, just produced by charged XORs, is free; the
+    input's own bits, at d = m, are not fresh.  Each level's exponents come
+    in the order of its factors.
     """
     m, t = _split_period(s.n)
     plan = _level_plan(m)
@@ -360,7 +359,9 @@ def _level_deltas(s: CyclicSeq, meter: OpMeter) -> tuple[tuple[Poly2, int], ...]
         else:
             for p in primes:
                 y = _diff(y | y << width, width // p, width, meter)
-            deltas.append((Poly2(factors[0]), y and _gc_int(y, width, meter, True, d)))
+            # only at N = 2^n (d = m = 1) does no fold or rotation make y fresh
+            c = _gc_int(y, width, meter, m > 1, d) if y or m == 1 else 0
+            deltas.append((Poly2(factors[0]), c))
     return tuple(deltas)
 
 
@@ -565,15 +566,13 @@ def choose_algorithm(n: int) -> AlgorithmChoice:
     odd, two_part = _split_period(n)
     if odd == 1:
         return AlgorithmChoice(TAG_GAMES_CHAN, n=two_part)
-    if odd == 3:
-        return AlgorithmChoice(TAG_FAST_3X2N, p=3, n=two_part)
     if _support_gap(odd) is not None:
         return AlgorithmChoice(TAG_ORACLE_FALLBACK)
     fac_odd = _factorize(odd)
     if len(fac_odd) == 1:
         (p, k), = fac_odd.items()
-        if k == 1 and p % 4 == 1:
-            return AlgorithmChoice(TAG_FAST_PX2N, p=p, n=two_part)
+        if k == 1 and (p == 3 or p % 4 == 1):
+            return AlgorithmChoice(TAG_FAST_3X2N if p == 3 else TAG_FAST_PX2N, p=p, n=two_part)
         if two_part == 0:
             return AlgorithmChoice(TAG_ODD_PRIME_POWER, p=p, n=k)
     if n >= 1 << 32:

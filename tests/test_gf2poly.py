@@ -12,11 +12,18 @@ from lcseq.gf2poly import (
     Factorization,
     Poly2,
     UnsupportedPeriod,
+    _ENUM_CAP,
     _compose,
     _cyclotomic_factors,
+    _divisors,
     _equal_degree_factors,
+    _euler_phi,
+    _factorize,
     _mod_int,
+    _mult_order,
     _product_of_powers,
+    _split_period,
+    _support_gap,
     add,
     divrem,
     exponent,
@@ -180,6 +187,35 @@ def test_factor_unsupported():
         factor_xn_minus_1(21)
     with pytest.raises(UnsupportedPeriod, match=r"2\^16"):
         factor_xn_minus_1(65537)  # prime above the cap
+
+
+def _support_gap_per_divisor(n: int) -> str | None:
+    """Reference: the support rule checked at every divisor d of the odd
+    part, in increasing d (a prime-power d needs p < 2^16 and 2 primitive
+    mod d, any other d needs ord_d(2) <= _ENUM_CAP)."""
+    for d in _divisors(_split_period(n)[0])[1:]:
+        fac_d = _factorize(d)
+        if len(fac_d) > 1:
+            k = _mult_order(2, d)
+            if k > _ENUM_CAP:
+                return f"cross-cyclotomic degree {k} above enumeration cap"
+            continue
+        (p, j), = fac_d.items()
+        if p >= 1 << 16:
+            return f"prime {p} above the 2^16 validation cap"
+        if _mult_order(2, d) != _euler_phi(d):
+            return f"2 is not a primitive root mod {p}^{j}"
+    return None
+
+
+def test_support_rule_matches_the_per_divisor_rule():
+    # one check per prime power and one order for m give every verdict the
+    # walk over all divisors gives
+    for m in range(1, 1 << 16, 2):
+        assert (_support_gap(m) is None) == (_support_gap_per_divisor(m) is None), m
+    assert _support_gap(49) == "2 is not a primitive root mod 7^2"
+    assert _support_gap(225) == "cross-cyclotomic degree 60 above enumeration cap"
+    assert _support_gap(3 * 65537) == "prime 65537 above the 2^16 validation cap"
 
 
 def test_factorization_validate_failures():

@@ -253,6 +253,17 @@ def test_min_poly_general_matches_oracles_exhaustive():
             assert min_poly_general(s, fac).key() == gcd_method(s).key(), (n, bits)
 
 
+def test_min_poly_general_reads_stored_bits_as_games_chan_does():
+    # at N = 2^n the one level's bits are the input itself, not fresh: the
+    # general engine charges what Games-Chan charges, the zero input included
+    for n in (1, 2, 4, 8, 16):
+        fac = factor_xn_minus_1(n)
+        for bits in range(1 << n):
+            s = CyclicSeq(bits, n)
+            general, halving = min_poly_general(s, fac), games_chan(s)
+            assert (general.meter, general.key()) == (halving.meter, halving.key()), (n, bits)
+
+
 def test_fold_matches_naive_xor():
     rng = SplitMix64(17)
     for width in (1, 3, 64, 65):
@@ -1104,6 +1115,46 @@ def test_solve_totality_and_invariants():
             assert r.complexity == r.min_poly.degree
             assert apply_poly(r.min_poly, s).bits == 0
             assert (x_pow_n_minus_1(n) % r.min_poly).is_zero()
+
+
+def test_zero_sequence_pays_for_its_stored_bits():
+    # a zero test of the input's own bits reads them: no entry point may
+    # answer the all-zero sequence of length N in fewer than N metered ops
+    def cost(run, n):
+        meter = OpMeter()
+        run(CyclicSeq(0, n), meter)
+        return meter.total()
+
+    direct = {
+        TAG_GAMES_CHAN: lambda c, s, m: games_chan(s, m),
+        TAG_FAST_3X2N: lambda c, s, m: lc_3x2n(s, m),
+        TAG_FAST_PX2N: lambda c, s, m: lc_px2n(c.p, s, m),
+        TAG_ODD_PRIME_POWER: lambda c, s, m: lc_odd_prime_power(c.p, c.n, s, m),
+        TAG_ODD_COMPOSITE: lambda c, s, m: lc_odd_composite(
+            list(gf2poly._factorize(s.n).items()), s, m
+        ),
+    }
+    families = set()
+    for n in range(1, 600):
+        choice = choose_algorithm(n)
+        if choice.tag == TAG_ORACLE_FALLBACK:
+            continue
+        fac = factor_xn_minus_1(n)
+        runs = [
+            solve,
+            lambda s, m: min_poly_general(s, fac, m),
+            lambda s, m: find_delta(s, fac, 0, m),
+        ]
+        if choice.tag in direct:
+            families.add(choice.tag)
+            runs.append(lambda s, m: direct[choice.tag](choice, s, m))
+        for run in runs:
+            assert cost(run, n) >= n, (n, run)
+    assert families == set(direct)
+    for f in map(P, ("11", "111", "1101", "1011", "11111", "11001")):
+        for k in range(4):
+            n = gf2poly.exponent(f) << k
+            assert cost(lambda s, m: ppp(f, s, m), n) >= n, (f, n)
 
 
 def test_minimality_witness_smoke():
