@@ -8,14 +8,12 @@ keeps the accounting machine-independent: one XOR producing one output bit
 costs 1, so dividing by g costs weight(g) - 1 for every quotient position; a
 zero-test of freshly produced bits is free (the producing XORs were already
 charged), a zero-test of stored bits costs its length, and relabeling
-(halves, thirds, prefixes) costs nothing.
+(blocks, prefixes) costs nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2poly import Poly2, _divisors, _product_of_powers
+from .gf2poly import Poly2, _divisors, _Frozen, _product_of_powers
 
 __all__ = [
     "CyclicSeq",
@@ -23,25 +21,30 @@ __all__ = [
     "LcResult",
     "apply_poly",
     "apply_poly_pow2",
-    "is_zero",
-    "halves",
-    "thirds",
     "minimal_period",
 ]
 
 
-@dataclass(frozen=True)
-class CyclicSeq:
+class CyclicSeq(_Frozen):
     """One cycle of a binary sequence; the minimal period may divide n."""
 
-    bits: int
-    n: int
+    __slots__ = __match_args__ = ("bits", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, bits: int, n: int) -> None:
+        if n < 1:
             raise ValueError("cycle length must be >= 1")
-        if not 0 <= self.bits < (1 << self.n):
+        if not 0 <= bits < (1 << n):
             raise ValueError("bits out of range for the cycle length")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.bits == other.bits and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.bits, self.n))
 
     # -- text formats ---------------------------------------------------------
 
@@ -97,13 +100,25 @@ class CyclicSeq:
         return f"CyclicSeq({self.to_bits_str()})"
 
 
-@dataclass(slots=True)
 class OpMeter:
     """Ledger of logical bit operations for one algorithm invocation."""
 
-    xor_ops: int = 0
-    cmp_ops: int = 0
-    counter_ops: int = 0
+    __slots__ = __match_args__ = ("xor_ops", "cmp_ops", "counter_ops")
+
+    def __init__(self, xor_ops: int = 0, cmp_ops: int = 0, counter_ops: int = 0) -> None:
+        self.xor_ops = xor_ops
+        self.cmp_ops = cmp_ops
+        self.counter_ops = counter_ops
+
+    # equal when all three counts are; mutable, so unhashable
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def total(self) -> int:
         return self.xor_ops + self.cmp_ops + self.counter_ops
@@ -192,35 +207,6 @@ def apply_poly_pow2(f: Poly2, m: int, s: CyclicSeq, meter: OpMeter | None = None
     if meter is not None:
         meter.xor_ops += (f.weight - 1) * n
     return CyclicSeq(out & ((1 << n) - 1), n)
-
-
-def is_zero(s: CyclicSeq, meter: OpMeter | None = None, fused: bool = True) -> bool:
-    """Zero test; free when fused with production, n stored-bit reads otherwise."""
-    if meter is not None and not fused:
-        meter.cmp_ops += s.n
-    return s.bits == 0
-
-
-def halves(s: CyclicSeq) -> tuple[CyclicSeq, CyclicSeq]:
-    """(L, R) halves; pure relabeling, no metered cost."""
-    if s.n % 2:
-        raise ValueError("halves need an even length")
-    h = s.n // 2
-    mask = (1 << h) - 1
-    return CyclicSeq(s.bits & mask, h), CyclicSeq(s.bits >> h, h)
-
-
-def thirds(s: CyclicSeq) -> tuple[CyclicSeq, CyclicSeq, CyclicSeq]:
-    """Three consecutive blocks of length n/3; pure relabeling."""
-    if s.n % 3:
-        raise ValueError("thirds need a length divisible by 3")
-    t = s.n // 3
-    mask = (1 << t) - 1
-    return (
-        CyclicSeq(s.bits & mask, t),
-        CyclicSeq((s.bits >> t) & mask, t),
-        CyclicSeq(s.bits >> (2 * t), t),
-    )
 
 
 def minimal_period(s: CyclicSeq) -> int:

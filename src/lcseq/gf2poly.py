@@ -13,10 +13,9 @@ period families the fast algorithms support.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import lru_cache, total_ordering
 
 from ._rng import SplitMix64
 
@@ -203,7 +202,9 @@ def _euler_phi(m: int) -> int:
     return t
 
 
-def _order(t: int, is_one: Callable[[int], bool], primes: set[int] | None = None) -> int:
+def _order(
+    t: int, is_one: collections.abc.Callable[[int], bool], primes: set[int] | None = None
+) -> int:
     """Order of a group element from a multiple t of it; is_one(e) tells
     whether the element raised to e is the identity.  primes, when given,
     holds every prime of t (others are skipped), else t is factored."""
@@ -229,15 +230,42 @@ def _divisors(m: int) -> list[int]:
 # the polynomial value type
 
 
-@dataclass(frozen=True, order=True)
-class Poly2:
+class _Frozen:
+    """Base of the immutable value types, equal and hashed as the tuple of their
+    fields: __init__ sets each slot once, assignment and deletion raise
+    AttributeError, and pickle and copy rebuild the value through __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+@total_ordering
+class Poly2(_Frozen):
     """A polynomial over GF(2), bit-packed least-significant-first."""
 
-    bits: int
+    __slots__ = __match_args__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits < 0:
+    def __init__(self, bits: int) -> None:
+        if bits < 0:
             raise ValueError("polynomial bits must be nonnegative")
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        return self.bits == other.bits if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __lt__(self, other):
+        return self.bits < other.bits if other.__class__ is self.__class__ else NotImplemented
 
     # -- basic queries ------------------------------------------------------
 
@@ -417,18 +445,14 @@ def is_primitive(f: Poly2) -> bool:
 # factorization of x^N - 1
 
 
-class FactorPower(NamedTuple):
-    poly: Poly2
-    multiplicity: int  # alpha_i
-    gamma: int  # smallest g with multiplicity <= 2^g
+# poly^multiplicity, multiplicity = alpha_i, gamma the smallest g with alpha_i <= 2^g
+FactorPower = collections.namedtuple("FactorPower", "poly multiplicity gamma")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(collections.namedtuple("Factorization", "modulus_degree factors")):
     """x^N - 1 = prod q_i^alpha_i with 2^ceil powers recorded per factor."""
 
-    modulus_degree: int
-    factors: tuple[FactorPower, ...]
+    __slots__ = ()
 
     def validate(self) -> None:
         n = self.modulus_degree

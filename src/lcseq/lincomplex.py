@@ -38,10 +38,9 @@ Each shift-XOR is charged where it is computed (``_diff``).
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
 
 from .cyclicseq import CyclicSeq, LcResult, OpMeter, apply_poly_pow2
 from .gf2poly import (
@@ -284,9 +283,11 @@ def _remainder_tree(d: int, t: int) -> tuple[tuple[Poly2, ...], tuple]:
     groups = [[] for _ in lifts]
     for i, q in enumerate(factors):
         next(group for g, group in zip(lifts, groups) if not _mod_int(g, q)).append(i)
-    # one top: d's smallest prime is a level of its own, irreducible by the support rule
-    tree, = chain(1, [(g, tuple(group)) for g, group in zip(_cyclotomic_factors(rad), groups)])
-    return tuple(map(Poly2, factors)), tree
+    tops = chain(1, [(g, tuple(group)) for g, group in zip(_cyclotomic_factors(rad), groups)])
+    # several tops when Phi_p, p the smallest prime of d, is reducible: one node over them
+    if len(tops) > 1:
+        tops = [parent(reduce(_mul_int, (top[1][0] for top in tops)), tops)]
+    return tuple(map(Poly2, factors)), tops[0]
 
 
 def _remainder_deltas(
@@ -547,11 +548,8 @@ def lc_odd_composite(
 # dispatcher
 
 
-@dataclass(frozen=True)
-class AlgorithmChoice:
-    tag: str
-    p: int | None = None
-    n: int | None = None
+# the family's tag, and p and n where the family is p * 2^n or p^n
+AlgorithmChoice = collections.namedtuple("AlgorithmChoice", "tag p n", defaults=(None, None))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -580,20 +578,12 @@ def choose_algorithm(n: int) -> AlgorithmChoice:
     return AlgorithmChoice(TAG_GENERAL if two_part else TAG_ODD_COMPOSITE)
 
 
-@dataclass(frozen=True)
-class _Algorithm:
-    """One row of the dispatch table.
-
-    ``run(choice, s, meter)`` computes the result; ``bound(n, p, n2)`` is the
-    paper's operation bound for n = p * 2^n2 with p odd, None where it gives
-    none; ``fast`` marks the families ``--algorithm fast`` accepts.  Runners
-    look functions up in this module at call time, so rebinding a module
-    name (to trace it, say) reaches every dispatch.
-    """
-
-    run: Callable[[AlgorithmChoice, CyclicSeq, OpMeter], LcResult]
-    bound: Callable[[int, int, int], int | float] | None = None
-    fast: bool = True
+# One row of the dispatch table.  run(choice, s, meter) computes the result;
+# bound(n, p, n2) is the paper's operation bound for n = p * 2^n2 with p odd,
+# None where it gives none; fast marks the families --algorithm fast accepts.
+# Runners look functions up in this module at call time, so rebinding a
+# module name (to trace it, say) reaches every dispatch.
+_Algorithm = collections.namedtuple("_Algorithm", "run bound fast", defaults=(None, True))
 
 
 _ALGORITHMS = {

@@ -6,10 +6,7 @@ from lcseq.cyclicseq import (
     OpMeter,
     apply_poly,
     apply_poly_pow2,
-    halves,
-    is_zero,
     minimal_period,
-    thirds,
 )
 from lcseq.gf2poly import Poly2, x_pow_n_minus_1
 
@@ -85,32 +82,6 @@ def test_apply_poly_pow2_matches_iterated_squaring(f, m, n, data):
         for j in js:
             t[i] ^= bits >> ((i + (j << m)) % n) & 1
     assert fast == CyclicSeq.from_list(t)
-
-
-def test_is_zero_metering_policy():
-    meter = OpMeter()
-    assert is_zero(S("000"), meter, fused=False)
-    assert meter.cmp_ops == 3
-    assert not is_zero(S("010"), meter, fused=True)
-    assert meter.cmp_ops == 3  # fused inspection is free
-    out = apply_poly(P("11"), S("1111"), meter)
-    assert is_zero(out, meter, fused=True)
-    assert meter.xor_ops == 4 and meter.cmp_ops == 3
-
-
-def test_halves_and_thirds():
-    assert halves(S("1001")) == (S("10"), S("01"))
-    assert halves(S("00")) == (S("0"), S("0"))
-    assert halves(S("10011010")) == (S("1001"), S("1010"))
-    with pytest.raises(ValueError):
-        halves(S("101"))
-
-    assert thirds(S("000101")) == (S("00"), S("01"), S("01"))
-    assert thirds(S("111")) == (S("1"), S("1"), S("1"))
-    a, b, c = thirds(S("001011001011"))
-    assert (a.n, b.n, c.n) == (4, 4, 4)
-    with pytest.raises(ValueError):
-        thirds(S("1010"))
 
 
 def test_minimal_period():

@@ -587,12 +587,18 @@ def test_remainder_tree_charges_no_more_than_the_unsplit_chain():
     assert split == [(195, 0), (195, 1), (195, 2), (195, 3), (585, 0), (585, 1), (585, 2)]
 
 
+# levels outside the support rule whose smallest prime p = 7 leaves Phi_p
+# reducible (2 is not primitive mod 7), so the chain has one top node per
+# factor of Phi_7; no length dispatches to them
+_SPLIT_TOP_LEVELS = [(d, t) for d in (119, 161, 217, 511) for t in (0, 1, 2)]
+
+
 def test_remainder_tree_leaves_divide_their_ancestors():
     # each leaf i divides by polys[i]*(x^(2^t)), ..., polys[i]*; every
     # ancestor's divisor is a multiple of its first, so a remainder keeps
     # q*'s multiplicity up to 2^t; the leaves cover every factor once and
     # each node lists the indices of its children
-    for d, t in _reducible_levels_to_2400():
+    for d, t in _reducible_levels_to_2400() + _SPLIT_TOP_LEVELS:
         polys, tree = _remainder_tree(d, t)
         leaves, nodes = [], [(tree, ())]
         while nodes:
@@ -607,6 +613,31 @@ def test_remainder_tree_leaves_divide_their_ancestors():
             assert all(gf2poly._mod_int(a, g) == 0 for a in ancestors), (d, t, indices)
             leaves += indices
         assert sorted(leaves) == list(range(len(polys))), (d, t)
+
+
+def test_remainder_tree_over_several_chain_tops():
+    # one node, dividing by Phi_7(x^(W/7)), over the two nodes of Phi_7's
+    # factors: the tree under the ascending chain.  On a seeded input of the
+    # level's own length every node reads a nonzero remainder, so the descent
+    # is charged exactly the tree's no-skip charge, and every exponent
+    # matches the gcd oracle's minimal polynomial, also with one exponent
+    # lowered
+    rng = SplitMix64(47)
+    for d, t in _SPLIT_TOP_LEVELS:
+        polys, tree = _remainder_tree(d, t)
+        assert len(tree) == 4 and tree == _split_tree(d, t, (7,)), (d, t)
+        assert tree[1][0] == gf2poly._compose(0b1111111, (d << t) // 7), (d, t)
+        s = CyclicSeq(rng.getrandbits(d << t), d << t)
+        firsts, v = [], max((1 << t) - 1, 1)
+        for s in (s, apply_poly(polys[0] ** v, s)):
+            meter, exps = OpMeter(), [0] * len(polys)
+            lincomplex._remainder_deltas(tree, s.bits, d << t, meter, exps, fresh=False)
+            assert meter == OpMeter(_charge(tree, d << t)), (d, t)
+            f = gcd_method(s).min_poly
+            for q, e in zip(polys, exps):
+                assert q**e == gf2poly.gcd(f, q ** (1 << t)), (d, t, q)
+            firsts.append(exps[0])
+        assert firsts == [1 << t, (1 << t) - v], (d, t)
 
 
 _REDUCIBLE_LEVELS = (15, 33, 39, 45, 65, 117, 195, 585)
