@@ -5,11 +5,13 @@ polynomial of a cyclic sequence:
 
 * ``gcd_method`` takes g = gcd(s^N(x), x^N - 1) by Euclid and the quotient
   f = (x^N - 1)/g as the first N - deg g + 1 terms of the power series 1/g,
-  by Newton doubling; it checks g * f = x^N - 1 and raises ArithmeticError
+  as g^(w - 1) for a power of two w past that length, doubling w by sums of
+  shifts of f; it checks g * f = x^N - 1 and raises ArithmeticError
   otherwise.
 * ``berlekamp_massey`` runs LFSR synthesis over two concatenated periods,
-  keeping the products stream * C and stream * B shifted down to the
-  current step, so the discrepancy is their lowest bit.
+  keeping stream * C shifted down to the current step and C itself above
+  it in one integer, so the discrepancy is its lowest bit and each update
+  is one XOR with the word saved at the last length change.
 
 The module also provides the generators the property suites need: m-sequences,
 the family S(q) of sequences annihilated by an irreducible q, and the
@@ -22,7 +24,6 @@ from __future__ import annotations
 from .cyclicseq import CyclicSeq, LcResult, OpMeter
 from .gf2poly import (
     Poly2,
-    _compose,
     _gcd_int,
     _mul_int,
     _pow_int,
@@ -53,6 +54,11 @@ def gcd_method(s: CyclicSeq) -> LcResult:
     polynomial annihilating the sequence under the shift operator (the taps
     of the recurrence, reindexed c_{m-j} = a_j) is its reversal.  The two
     coincide exactly when the factor set involved is self-reciprocal.
+
+    The quotient is 1/g mod x^k, k = N - deg g + 1.  Since g(0) = 1 and w is
+    a power of two, g^w = g(x^w) = 1 mod x^w, so g^(w - 1) = 1/g mod x^w;
+    the quotient is g^(w - 1) mod x^k once w >= k, and each doubling of w
+    multiplies by g(x^w), a sum of shifts of f, one per exponent of g.
     """
     meter = OpMeter()
     xn1 = (1 << s.n) | 1
@@ -62,15 +68,26 @@ def gcd_method(s: CyclicSeq) -> LcResult:
     if g == 1:
         f = xn1
     else:
-        # f is 1/g mod x^k, k = N - deg g + 1 (x^N/g starts above f's degree).
-        # Newton: f = 1/g mod x^w gives g*f^2 = 1/g mod x^(2w), exact in
-        # characteristic 2 because 1/g - g*f^2 = (1 - g*f)^2 / g.
+        # f = g^(w - 1) mod x^k, starting at w = 1; x^N/g starts above f's
+        # degree.  Only g's positive exponents e with e*w < k reach below
+        # x^k, so the loop stops when the smallest of them, times w, does.
         k = s.n - g.bit_length() + 2
+        mask = (1 << k) - 1
+        exps = []
+        rest = (g & mask) >> 1
+        while rest:
+            low = rest & -rest
+            exps.append(low.bit_length())
+            rest ^= low
         f, w = 1, 1
-        while w < k:
-            w = min(2 * w, k)
-            mask = (1 << w) - 1
-            f = _mul_int(g & mask, _compose(f, 2)) & mask
+        while exps and exps[0] * w < k:
+            acc = f
+            for e in exps:
+                if e * w >= k:
+                    break
+                acc ^= f << (e * w)
+            f = acc & mask
+            w *= 2
     if _mul_int(g, f) != xn1:
         raise ArithmeticError(f"degree-{g.bit_length() - 1} gcd does not divide x^{s.n} - 1")
     return LcResult("GcdMethod", meter, min_poly=Poly2(_reversed(f, f.bit_length() - 1)))
@@ -84,32 +101,33 @@ def berlekamp_massey(s: CyclicSeq) -> LcResult:
     register taps come out in recurrence order; they are re-emitted
     reversed so the connection polynomial is the same monic minimal
     polynomial the gcd method produces.
+
+    The whole state is one integer z = (stream * C >> i) | (C << (k - i)) at
+    step i, k = 3N + 1: deg C <= N keeps stream * C below x^(3N), so the
+    halves never meet.  Adding x^(i - last) * B to C is z ^= zb, with zb the
+    word saved at step last, and each step ends with one shift of z.
     """
     meter = OpMeter()
     n = s.n
     if s.bits == 0:
         return LcResult("BerlekampMassey", meter, min_poly=Poly2(1))
+    k = 3 * n + 1
     stream = s.bits | (s.bits << n)
-    # C tracks the connection polynomial and B the one saved at step last.
-    # sc is stream(x) * C(x) shifted down by the step i, so the discrepancy
-    # is its low bit; sb is stream(x) * B(x) shifted down by last, so that
-    # adding x^(i - last) * B to C adds sb to sc unshifted.  last = -1
-    # starts sb at stream << 1.
-    c_poly, b_poly = 1, 1
-    sc, sb = stream, stream << 1
-    deg, last = 0, -1
+    # C = 1 at step 0; B = 1 saved at last = -1 packs as stream << 1 below
+    # 1 << (k + 1)
+    z, zb = stream | (1 << k), (stream << 1) | (2 << k)
+    deg = 0
     for i in range(2 * n):
-        if sc & 1:
+        if z & 1:
             if 2 * deg <= i:
-                c_poly, b_poly = c_poly ^ (b_poly << (i - last)), c_poly
-                sc, sb = sc ^ sb, sc
-                deg, last = i + 1 - deg, i
+                z, zb = z ^ zb, z
+                deg = i + 1 - deg
             else:
-                c_poly ^= b_poly << (i - last)
-                sc ^= sb
-        sc >>= 1
-    # reverse the register taps into a monic degree-`deg` polynomial
-    return LcResult("BerlekampMassey", meter, min_poly=Poly2(_reversed(c_poly, deg)))
+                z ^= zb
+        z >>= 1
+    # after 2N steps C sits at k - 2N = N + 1; reverse its taps into a
+    # monic degree-`deg` polynomial
+    return LcResult("BerlekampMassey", meter, min_poly=Poly2(_reversed(z >> (n + 1), deg)))
 
 
 def msequence(f: Poly2) -> CyclicSeq:

@@ -5,10 +5,12 @@ from lcseq._rng import SplitMix64
 from lcseq.cyclicseq import CyclicSeq, apply_poly
 from lcseq.gf2poly import (
     Poly2,
+    _compose,
     _divrem_int,
     _gcd_int,
     _mod_int,
     _mul_int,
+    _reversed,
     exponent,
     gcd,
     is_irreducible,
@@ -117,6 +119,87 @@ def test_oracles_against_long_division(n):
     assert (complexity[1], complexity[ones]) == (n, 1)
     if n % 3 == 0:
         assert complexity[multiple] <= 3
+
+
+def reference_gcd_key(s: CyclicSeq) -> tuple[int, int]:
+    """gcd_method's key by Newton inversion of 1/g, f <- g * f(x^2) mod x^(2w)."""
+    xn1 = (1 << s.n) | 1
+    if s.bits == 0:
+        return 0, 1
+    g = _gcd_int(s.bits, xn1)
+    if g == 1:
+        f = xn1
+    else:
+        k = s.n - g.bit_length() + 2
+        f, w = 1, 1
+        while w < k:
+            w = min(2 * w, k)
+            mask = (1 << w) - 1
+            f = _mul_int(g & mask, _compose(f, 2)) & mask
+    assert _mul_int(g, f) == xn1
+    return f.bit_length() - 1, _reversed(f, f.bit_length() - 1)
+
+
+def reference_bm_key(s: CyclicSeq) -> tuple[int, int]:
+    """berlekamp_massey's key from separate C, B, stream * C and stream * B."""
+    n = s.n
+    if s.bits == 0:
+        return 0, 1
+    stream = s.bits | (s.bits << n)
+    c_poly, b_poly = 1, 1
+    sc, sb = stream, stream << 1
+    deg, last = 0, -1
+    for i in range(2 * n):
+        if sc & 1:
+            if 2 * deg <= i:
+                c_poly, b_poly = c_poly ^ (b_poly << (i - last)), c_poly
+                sc, sb = sc ^ sb, sc
+                deg, last = i + 1 - deg, i
+            else:
+                c_poly ^= b_poly << (i - last)
+                sc ^= sb
+        sc >>= 1
+    return deg, _reversed(c_poly, deg)
+
+
+def assert_oracles_match_references(s: CyclicSeq) -> None:
+    key = reference_gcd_key(s)
+    assert reference_bm_key(s) == key, (s.n, s.bits)
+    assert gcd_method(s).key() == key, (s.n, s.bits)
+    assert berlekamp_massey(s).key() == key, (s.n, s.bits)
+
+
+def test_oracles_match_references_exhaustive_small():
+    for n in range(1, 13):
+        for bits in range(1 << n):
+            assert_oracles_match_references(CyclicSeq(bits, n))
+
+
+def test_oracles_match_references_randomized():
+    rng = SplitMix64(33)
+    for n in range(1, 201):
+        for _ in range(4):
+            assert_oracles_match_references(CyclicSeq(rng.getrandbits(n), n))
+
+
+@pytest.mark.parametrize("n", [15, 20, 81, 320, 768, 3 << 10, 1 << 12])
+def test_oracles_match_references_structured(n):
+    # the impulse x^(N-1) has complexity N: deg C = N and stream * C reaches
+    # degree 3N - 1, the most that the packed Berlekamp-Massey state holds
+    # below C
+    rng = SplitMix64(n)
+    ones = (1 << n) - 1
+    for bits in (0, 1, ones, 1 << (n - 1), rng.getrandbits(n), rng.getrandbits(n)):
+        assert_oracles_match_references(CyclicSeq(bits, n))
+    assert berlekamp_massey(CyclicSeq(1 << (n - 1), n)).complexity == n
+
+
+@pytest.mark.parametrize("poly", [0b10011, 0b100101])
+def test_oracles_match_references_on_msequences(poly):
+    # x^4 + x + 1 and x^5 + x^2 + 1: each m-sequence has complexity deg f
+    seq = msequence(Poly2(poly))
+    assert_oracles_match_references(seq)
+    assert gcd_method(seq).complexity == Poly2(poly).degree
 
 
 def test_gcd_method_checks_the_quotient(monkeypatch):
